@@ -18,12 +18,11 @@ All matrix entries live in the rational-function field with ``q`` replaced by
 coefficients, dilations) are stretched into that gauge on entry.
 """
 
-from itertools import product as _iproduct
 from math import lcm
 
 from .linalg import RowSpace, kernel_basis, vec_add
 from .parity import ParitySeq
-from .rtt import varsigma
+from .rtt import relation_expansion, varsigma
 from .scalars import QScalar
 from .tensor import Mat, SeriesMat, graded_kron
 from .weights import (
@@ -493,18 +492,22 @@ def verify_affine_relations(rep, max_failures=10):
     Checks, in order: the zeroth-mode triangularity (``t^(0)_ij = 0`` for
     ``i < j``, ``tbar^(0)_ij = 0`` for ``i > j``), invertibility of the
     zeroth diagonal modes (``t^(0)_ii tbar^(0)_ii = tbar^(0)_ii t^(0)_ii =
-    1``), and all four families of two-variable exchange relations
+    1``), and every entry of the matrix identity
 
-        (q_i^(-d_ik) v - q_i^(d_ik) u) g_ij(u) g'_kl(v)
-          - sign(ij;kl) (q_j^(-d_jl) v - q_j^(d_jl) u) g'_kl(v) g_ij(u)
-        = sign(ik;kl) (q_k - q_k^(-1)) [
-              ([k<i] u + [i<k] v) g_kj(u) g'_il(v)
-            - ([j<l] u + [l<j] v) g'_kj(v) g_il(u) ]
+        R(u, v) T1(u) T2(v) = T2(v) T1(u) R(u, v),   R(u, v) = u R - v R~,
 
-    for (g, g') running over (t,t), (tb,tb), (t,tb), (tb,t), every index
-    quadruple, as an identity of matrix-valued Laurent polynomials in u, v.
-    Returns ``{"pass", "checked", "failure_count", "failures"}`` with at
-    most ``max_failures`` located failures.
+    for the generator series (g, g') running over (t,t), (tb,tb), (t,tb),
+    (tb,t), as an identity of matrix-valued Laurent polynomials in u, v.
+    The products carry the entry signs
+
+        (T1 T2)_{(a,b),(j,l)} = (-1)^{(|b|+|l|)|a|} g_aj(u) g'_bl(v),
+        (T2 T1)_{(i,k),(c,d)} = (-1)^{(|k|+|d|)|c|} g'_kd(v) g_ic(u),
+
+    and a failure at instance (i, j, k, l) reports entry ((i,k),(j,l))
+    times -(-1)^{(|k|+|l|)|i|} (:func:`qglrtt.rtt.relation_expansion`).
+    Returns
+    ``{"pass", "checked", "failure_count", "failures"}`` with at most
+    ``max_failures`` located failures.
     """
     s = rep.s
     N = s.N
@@ -552,13 +555,10 @@ def verify_affine_relations(rep, max_failures=10):
             "truncated": True,
         }
 
-    def qpow(k):
-        return QScalar.q_power(k * D)
-
     series_cache = {}
 
-    def gamma_series(kind, i, j, var):
-        key = (kind, i, j, var)
+    def gamma_series(kind, var, i, j):
+        key = (kind, var, i, j)
         sm = series_cache.get(key)
         if sm is None:
             sm = SeriesMat(2, space)
@@ -572,60 +572,43 @@ def verify_affine_relations(rep, max_failures=10):
 
     prod_cache = {}
 
-    def pair_product(kA, iA, jA, varA, kB, iB, jB, varB):
-        key = (kA, iA, jA, varA, kB, iB, jB, varB)
-        p = prod_cache.get(key)
+    def pair_product(x, y):
+        p = prod_cache.get((x, y))
         if p is None:
-            p = gamma_series(kA, iA, jA, varA) @ gamma_series(
-                kB, iB, jB, varB
-            )
-            prod_cache[key] = p
+            p = gamma_series(*x) @ gamma_series(*y)
+            prod_cache[(x, y)] = p
         return p
 
-    def shifted(sm, du, dv, c):
-        out = SeriesMat(2, space)
-        for e, m in sm.terms.items():
-            out.add_term((e[0] + du, e[1] + dv), m.scale(c))
-        return out
+    # coefficients in the q^(1/D) gauge; units are applied as signs
+    expansion = []
+    for idx, terms in relation_expansion(s).items():
+        scaled = []
+        for coeff, expo, x, y in terms:
+            unit = 1 if coeff.is_one() else -1 if (-coeff).is_one() else 0
+            scaled.append((unit, coeff.stretch(D), expo, x, y))
+        expansion.append((idx, scaled))
 
     families = (("t", "t"), ("tb", "tb"), ("t", "tb"), ("tb", "t"))
-    for kA, kB in families:
-        for i, j, k, l in _iproduct(range(1, N + 1), repeat=4):
+    for kinds in families:
+        for (i, j, k, l), terms in expansion:
             checked += 1
-            di, dj, dk = s.d(i), s.d(j), s.d(k)
-            dik = 1 if i == k else 0
-            djl = 1 if j == l else 0
-            P1 = pair_product(kA, i, j, 0, kB, k, l, 1)
-            P2 = pair_product(kB, k, l, 1, kA, i, j, 0)
-            lhs = shifted(P1, 0, 1, qpow(-di * dik)) - shifted(
-                P1, 1, 0, qpow(di * dik)
-            )
-            t2 = shifted(P2, 0, 1, qpow(-dj * djl)) - shifted(
-                P2, 1, 0, qpow(dj * djl)
-            )
-            if varsigma(s, i, j, k, l) > 0:
-                lhs = lhs - t2
-            else:
-                lhs = lhs + t2
-            qdk = qpow(dk) - qpow(-dk)
-            if varsigma(s, i, k, k, l) < 0:
-                qdk = -qdk
-            rhs = SeriesMat(2, space)
-            T1 = pair_product(kA, k, j, 0, kB, i, l, 1)
-            if k < i:
-                rhs = rhs + shifted(T1, 1, 0, qdk)
-            elif i < k:
-                rhs = rhs + shifted(T1, 0, 1, qdk)
-            T2 = pair_product(kB, k, j, 1, kA, i, l, 0)
-            if j < l:
-                rhs = rhs - shifted(T2, 1, 0, qdk)
-            elif l < j:
-                rhs = rhs - shifted(T2, 0, 1, qdk)
-            residual = lhs - rhs
+            acc = {}
+            for unit, coeff, (eu, ev), x, y in terms:
+                p = pair_product((kinds[x[0]],) + x, (kinds[y[0]],) + y)
+                for (pu, pv), m in p.terms.items():
+                    cell = acc.get((pu + eu, pv + ev))
+                    if cell is None:
+                        cell = acc[(pu + eu, pv + ev)] = Mat(space)
+                    for (r, c), val in m.entries.items():
+                        cell.add_to(
+                            r, c,
+                            val if unit > 0 else -val if unit else coeff * val,
+                        )
+            residual = SeriesMat(2, space, acc)
             if not residual.is_zero():
                 item = residual.nonzero_report(("u", "v"))[0]
                 item.update(
-                    {"relation": "%s-%s" % (kA, kB),
+                    {"relation": "%s-%s" % kinds,
                      "i": i, "j": j, "k": k, "l": l}
                 )
                 if record(item):

@@ -78,9 +78,6 @@ class RowSpace:
         self.rows[p] = newrow
         return True
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
     def basis(self):
         return [dict(self.rows[p]) for p in sorted(self.rows)]
 

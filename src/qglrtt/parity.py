@@ -124,15 +124,6 @@ def odd_positive_roots(s):
     return [(i, j) for (i, j) in positive_roots(s) if s.parity(i) != s.parity(j)]
 
 
-def root_vector(s, i, j):
-    """Coefficient vector of eps_i - eps_j in the eps basis."""
-    s = ParitySeq(s)
-    v = [0] * s.N
-    v[i - 1] = 1
-    v[j - 1] = -1
-    return tuple(v)
-
-
 def bilinear_form(s, x, y):
     """The super bilinear form (x|y) = sum_i d_i x_i y_i on eps coordinates."""
     s = ParitySeq(s)

@@ -10,11 +10,7 @@ source presentation maps to zero in the target.
 from __future__ import annotations
 
 from .parity import ParitySeq, sort_to_standard
-from .rtt import (
-    AlgebraElement,
-    relation_residual,
-    varsigma,
-)
+from .rtt import AlgebraElement, check_relation_families, varsigma
 from .scalars import QScalar, QONE
 
 
@@ -403,98 +399,36 @@ def verify_odd_reflection(s, i, max_failures=10):
     fwd = odd_reflection(s, i)
     inv = odd_reflection_inverse(s, i)
     sp = fwd.target
-    N = s.N
 
     failures = []
-    checked = 0
-
-    def zero_target():
-        return AlgebraElement.zero(sp)
-
-    def tgen(a, b):
-        return fwd.t_images[(a, b)] if a >= b else zero_target()
-
-    def tbgen(a, b):
-        return fwd.tb_images[(a, b)] if a <= b else zero_target()
-
-    for a in range(1, N + 1):
-        res = tgen(a, a) * tbgen(a, a) - AlgebraElement.one(sp)
-        checked += 1
+    for a in range(1, s.N + 1):
+        res = fwd.image("t", a, a) * fwd.image("tb", a, a) - AlgebraElement.one(sp)
         if not res.is_zero() and len(failures) < max_failures:
             failures.append(
                 {"relation": "diag-inverse", "indices": [a], "residual": str(res)}
             )
-    for which in ("tt", "tbtb", "ttb"):
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                for c in range(1, N + 1):
-                    for d in range(1, N + 1):
-                        res = relation_residual(
-                            s, which, a, b, c, d, tgen=tgen, tbgen=tbgen
-                        )
-                        checked += 1
-                        if not res.is_zero() and len(failures) < max_failures:
-                            failures.append(
-                                {
-                                    "relation": which,
-                                    "indices": [a, b, c, d],
-                                    "residual": str(res),
-                                }
-                            )
+    checked = s.N + check_relation_families(s, fwd.image, failures, max_failures)
 
     roundtrip_ok = True
-    for (a, b), img in fwd.t_images.items():
-        back = inv.apply(img)
-        expect = AlgebraElement.generator(s, "t", a, b)
-        if back != expect:
-            roundtrip_ok = False
-            if len(failures) < max_failures:
-                failures.append(
-                    {
-                        "relation": "inverse-after-forward",
-                        "indices": ["t", a, b],
-                        "residual": str(back - expect),
-                    }
+    for name, there, back in (
+        ("inverse-after-forward", fwd, inv),
+        ("forward-after-inverse", inv, fwd),
+    ):
+        for kind, images in (("t", there.t_images), ("tb", there.tb_images)):
+            for (a, b), img in images.items():
+                res = back.apply(img) - AlgebraElement.generator(
+                    there.source, kind, a, b
                 )
-    for (a, b), img in fwd.tb_images.items():
-        back = inv.apply(img)
-        expect = AlgebraElement.generator(s, "tb", a, b)
-        if back != expect:
-            roundtrip_ok = False
-            if len(failures) < max_failures:
-                failures.append(
-                    {
-                        "relation": "inverse-after-forward",
-                        "indices": ["tb", a, b],
-                        "residual": str(back - expect),
-                    }
-                )
-    for (a, b), img in inv.t_images.items():
-        back = fwd.apply(img)
-        expect = AlgebraElement.generator(sp, "t", a, b)
-        if back != expect:
-            roundtrip_ok = False
-            if len(failures) < max_failures:
-                failures.append(
-                    {
-                        "relation": "forward-after-inverse",
-                        "indices": ["t", a, b],
-                        "residual": str(back - expect),
-                    }
-                )
-    for (a, b), img in inv.tb_images.items():
-        back = fwd.apply(img)
-        expect = AlgebraElement.generator(sp, "tb", a, b)
-        if back != expect:
-            roundtrip_ok = False
-            if len(failures) < max_failures:
-                failures.append(
-                    {
-                        "relation": "forward-after-inverse",
-                        "indices": ["tb", a, b],
-                        "residual": str(back - expect),
-                    }
-                )
+                if not res.is_zero():
+                    roundtrip_ok = False
+                    if len(failures) < max_failures:
+                        failures.append(
+                            {
+                                "relation": name,
+                                "indices": [kind, a, b],
+                                "residual": str(res),
+                            }
+                        )
 
     return {
         "source": str(s),

@@ -188,16 +188,6 @@ class Laurent:
             return self
         return Laurent(tuple(c // g for c in self.coeffs), self.offset)
 
-    def exact_div_int(self, c):
-        c = int(c)
-        out = []
-        for v in self.coeffs:
-            d, r = divmod(v, c)
-            if r:
-                raise ArithmeticError("inexact integer division of coefficients")
-            out.append(d)
-        return Laurent(out, self.offset)
-
     # -- printing
 
     def to_string(self, exp_denom=1):
@@ -238,10 +228,6 @@ class Laurent:
 
     def __repr__(self):
         return "Laurent(%r, %r)" % (self.coeffs, self.offset)
-
-
-def _poly_mul_through(a: Laurent, b: Laurent) -> Laurent:
-    return a * b
 
 
 def _pseudo_rem(a: Laurent, b: Laurent) -> Laurent:

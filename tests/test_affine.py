@@ -169,9 +169,11 @@ class TestRelationNegativeControls:
         rep = AffineRep(base.s, base.space, modes, denominator=1)
         report = verify_affine_relations(rep)
         assert not report["pass"]
-        first = report["failures"][0]
-        for key in ("relation", "i", "j", "k", "l", "monomial", "row", "col"):
-            assert key in first
+        assert report["truncated"] and report["checked"] == 54
+        assert report["failures"][0] == {
+            "relation": "tb-tb", "i": 1, "j": 2, "k": 2, "l": 1,
+            "monomial": "v^2", "row": 0, "col": 0, "value": "-q^2",
+        }
 
     def test_broken_triangularity_flagged(self):
         base = self._base()

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, JSON contracts."""
 
+import hashlib
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,15 @@ import pytest
 from qglrtt.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env():
+    # child interpreters import qglrtt from this checkout, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def run(capsys, *argv):
@@ -348,7 +359,7 @@ class TestPlumbing:
                 sys.executable, "-m", "qglrtt", "classify",
                 "--s", "01", "--weights", "+q^1,+q^1",
             ],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["finite"] is True
@@ -371,7 +382,44 @@ class TestPlumbing:
         proc = subprocess.run(
             [sys.executable, "-c", wrapper,
              "ybe", "--m", "1", "--n", "1", "--no-spectral"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["pass"] is True
+
+
+class TestGoldenOutput:
+    # sha256 of stdout, fixed from the hand-written relation checkers that
+    # the R-matrix expansion replaced; the relation reports must not move
+    README_FACTORS = {
+        "sequence": "01",
+        "factors": [
+            {"weights": "+q^1,+q^1", "a": "1"},
+            {"weights": "+q^2,+q^1", "a": "1"},
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["evalrep", "--s", "01", "--weights", "+q^1,+q^1", "--a", "q^2"],
+                "30aeed50dd021a409b8690047fc05a69d7e97812b62fc9f917787163e2738da2",
+            ),
+            (
+                ["tensor", "--factors", None, "--verify"],
+                "91f021a48cb31478944c4afde66c221fb5c2f503e1ff410fd354cabf2534d67f",
+            ),
+            (
+                ["braid-verify", "--s", "001"],
+                "9d6d6d23fe59d45a046c4fa3eacd88b45a481536ef7373e643b2e5760bf20221",
+            ),
+        ],
+        ids=["evalrep", "tensor-verify", "braid-verify"],
+    )
+    def test_stdout_digest(self, capsys, tmp_path, argv, digest):
+        path = write_factors(tmp_path, self.README_FACTORS)
+        argv = [path if a is None else a for a in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qglrtt import rtt
 from qglrtt.parity import ParitySeq
 from qglrtt.rtt import (
     AlgebraElement,
@@ -65,6 +67,36 @@ def test_odd_generator_squares_to_zero():
     assert (y * y).is_zero()
 
 
+def test_odd_generator_power_is_zero():
+    # a power letter of an odd generator straightens like the repeated product
+    s = ParitySeq("01")
+    assert parse_element(s, "t[2,1]^2").is_zero()
+    assert gen(s, "t", 2, 1, 2).is_zero()
+    assert gen(s, "tb", 1, 2, 3).is_zero()
+    assert parse_element(s, "t[2,1]^2") == gen(s, "t", 2, 1) * gen(s, "t", 2, 1)
+    x = parse_element(s, "(q - q^-1) t[2,1] tb[1,2]^2 - tb[1,1]^-1")
+    assert str(x) == "(-1) tb[1,1]^-1"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_from_word_equals_product_of_letters(data):
+    s = ParitySeq(data.draw(st.text("01", min_size=2, max_size=3)))
+    pool = pbw_generator_order(s) + [("t", a, a) for a in range(1, s.N + 1)]
+    letters = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.sampled_from([-2, -1, 1, 2])),
+            max_size=4,
+        )
+    )
+    letters = [(g, e if g[1] == g[2] else abs(e)) for g, e in letters]
+    prod = AlgebraElement.one(s)
+    for (kind, i, j), e in letters:
+        for _ in range(abs(e)):
+            prod = prod * gen(s, kind, i, j, 1 if e > 0 else -1)
+    assert AlgebraElement.from_word(s, letters) == prod
+
+
 def test_diagonal_inverse():
     s = ParitySeq("010")
     for a in (1, 2, 3):
@@ -113,6 +145,23 @@ def test_relation_checker_sees_corruption():
         s, "t", 2, 1
     )
     assert not bad.is_zero()
+
+
+def test_relation_check_is_independent_of_the_engine(monkeypatch):
+    # the relation coefficients come from the R-matrix, not from the rewrite
+    # table, so a rewrite rule that loses its correction term is caught
+    orig = rtt._pair_rule
+    monkeypatch.setattr(
+        rtt, "_pair_rule", lambda bits, g1, g2: orig(bits, g1, g2)[:1]
+    )
+    report = check_defining_relations("001")
+    assert not report["pass"]
+    assert report["checked"] == 2 * 3 + 3 * 3**4
+    assert report["failures"][0] == {
+        "relation": "tt",
+        "indices": [2, 1, 3, 2],
+        "residual": "((-q^2 + 1)/q) t[3,1]*tb[2,2]^-1",
+    }
 
 
 # --- associativity / confluence ---------------------------------------------
