@@ -10,6 +10,26 @@ coefficients, kept in a canonical form:
 
 So ``q - q^-1`` is stored as ``(q^2 - 1)/q`` and ``(q^2-1)/(q-1)`` reduces
 to ``q + 1``.  No floating point is used anywhere.
+
+Nearly every value met in practice has a monomial denominator, and the
+kernel reduces those without polynomial arithmetic; every path below ends
+in the same canonical pair, because the canonical form of an element of
+Q(q) is unique:
+
+* ``poly_gcd`` with an operand ``c q^e`` returns ``q^min(e, f) g``, where
+  ``f`` is the other operand's lowest exponent and ``g`` is the integer gcd
+  of ``c`` and its coefficients: the divisors of ``c q^e`` are the ``d q^k``
+  with ``d | c`` and ``k <= e``.  Only two operands of two or more terms
+  reach the pseudo-remainder sequence.
+* ``QScalar`` skips the gcd when, after the common power of q is removed,
+  the denominator is ``+-q^k``: a common factor would be a power of q, and
+  one of the pair has a nonzero constant term, so the pair is coprime and
+  only the sign is fixed.
+* Products of two polynomials (denominator 1), ``inverse`` (the swapped
+  pair of a canonical pair is coprime) and ``stretch`` (q -> q^d keeps
+  every coefficient, so coprimality, content and the constant terms) build
+  their result without a gcd; a sum over one denominator reduces the sum
+  of the numerators over it, without cross products.
 """
 
 from __future__ import annotations
@@ -53,19 +73,20 @@ class Laurent:
 
     @staticmethod
     def zero():
-        return Laurent()
+        return _LZERO
 
     @staticmethod
     def one():
-        return Laurent((1,))
+        return _LONE
 
     @staticmethod
     def const(c):
-        return Laurent((int(c),))
+        c = int(c)
+        return _laurent((c,), 0) if c else _LZERO
 
     @staticmethod
     def q_pow(e):
-        return Laurent((1,), int(e))
+        return _laurent((1,), int(e))
 
     # -- structure
 
@@ -101,66 +122,85 @@ class Laurent:
     # -- arithmetic
 
     def __neg__(self):
-        return Laurent(tuple(-c for c in self.coeffs), self.offset)
+        return _laurent(tuple([-c for c in self.coeffs]), self.offset)
 
     def __add__(self, other):
         if not self.coeffs:
             return other
         if not other.coeffs:
             return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.high, other.high)
-        out = [0] * (hi - lo + 1)
-        for k, c in enumerate(self.coeffs):
-            out[self.offset - lo + k] += c
-        for k, c in enumerate(other.coeffs):
-            out[other.offset - lo + k] += c
-        return Laurent(out, lo)
+        if self.offset > other.offset:
+            self, other = other, self
+        out = list(self.coeffs)
+        d = other.offset - self.offset
+        grow = d + len(other.coeffs) - len(out)
+        if grow > 0:
+            out += [0] * grow
+        for k, c in enumerate(other.coeffs, d):
+            if c:
+                out[k] += c
+        return Laurent(out, self.offset)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return Laurent()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Laurent(out, self.offset + other.offset)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _LZERO
+        offset = self.offset + other.offset
+        # a monomial factor scales and shifts; Z has no zero divisors, so
+        # the end coefficients of a product stay nonzero (already trimmed)
+        if len(b) == 1:
+            c = b[0]
+            return _laurent(a if c == 1 else tuple([x * c for x in a]), offset)
+        if len(a) == 1:
+            c = a[0]
+            return _laurent(b if c == 1 else tuple([x * c for x in b]), offset)
+        out = [0] * (len(a) + len(b) - 1)
+        # stretched operands are mostly zeros: pair nonzero terms only
+        bn = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in bn:
+                    out[i + j] += x * y
+        return _laurent(tuple(out), offset)
 
     def scale(self, c):
         c = int(c)
         if c == 0:
-            return Laurent()
-        return Laurent(tuple(v * c for v in self.coeffs), self.offset)
+            return _LZERO
+        if c == 1:
+            return self
+        return _laurent(tuple([v * c for v in self.coeffs]), self.offset)
 
     def shift(self, e):
         """Multiply by q^e."""
-        if not self.coeffs:
+        if not e or not self.coeffs:
             return self
-        return Laurent(self.coeffs, self.offset + e)
+        return _laurent(self.coeffs, self.offset + e)
 
     def __pow__(self, n):
         n = int(n)
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial")
-        out = Laurent.one()
+        if len(self.coeffs) == 1:
+            return _laurent((self.coeffs[0] ** n,), self.offset * n)
+        out = _LONE
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def subs_q_inverse(self):
         """The image under q -> q^{-1}."""
         if not self.coeffs:
             return self
-        return Laurent(tuple(reversed(self.coeffs)), -self.high)
+        return _laurent(self.coeffs[::-1], -self.high)
 
     def stretch(self, d):
         """The image under q -> q^d for a positive integer d."""
@@ -170,23 +210,8 @@ class Laurent:
         if d == 1 or not self.coeffs:
             return self
         out = [0] * ((len(self.coeffs) - 1) * d + 1)
-        for k, c in enumerate(self.coeffs):
-            out[k * d] = c
-        return Laurent(out, self.offset * d)
-
-    # -- Z[q] helpers (used on polynomials, i.e. offset >= 0)
-
-    def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = _int_gcd(g, abs(c))
-        return g
-
-    def primitive(self):
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return Laurent(tuple(c // g for c in self.coeffs), self.offset)
+        out[::d] = self.coeffs
+        return _laurent(tuple(out), self.offset * d)
 
     # -- printing
 
@@ -230,16 +255,59 @@ class Laurent:
         return "Laurent(%r, %r)" % (self.coeffs, self.offset)
 
 
-def _pseudo_rem(a: Laurent, b: Laurent) -> Laurent:
-    """Pseudo-remainder of polynomials a, b in Z[q] (offsets assumed 0)."""
-    da, db = a.high, b.high
-    lb = b.coeffs[-1]
+_set_coeffs = Laurent.coeffs.__set__
+_set_offset = Laurent.offset.__set__
+
+
+def _laurent(coeffs, offset):
+    """A Laurent from a coefficient tuple that is already trimmed."""
+    p = object.__new__(Laurent)
+    _set_coeffs(p, coeffs)
+    _set_offset(p, offset)
+    return p
+
+
+_LZERO = Laurent()
+_LONE = Laurent((1,))
+
+
+# The general gcd and division work on coefficient lists, constant term
+# first, with no trailing zeros.
+
+
+def _pseudo_rem(a, b):
+    """Pseudo-remainder of coefficient lists a, b in Z[q]."""
+    lb = b[-1]
+    nb = len(b)
+    bn = [(j, y) for j, y in enumerate(b) if y]
     r = a
-    while r.coeffs and r.high >= db:
-        k = r.high - db
-        lr = r.coeffs[-1]
-        r = r.scale(lb) - b.scale(lr).shift(k)
+    while len(r) >= nb:
+        lr = r[-1]
+        k = len(r) - nb
+        if lb != 1:
+            r = [c * lb for c in r]
+        else:
+            r = list(r)
+        for j, y in bn:
+            r[k + j] -= lr * y
+        while r and not r[-1]:
+            r.pop()
     return r
+
+
+def _content(cs, g=0):
+    """The gcd of g and the coefficients cs, stopping once it reaches 1."""
+    for c in cs:
+        if g == 1:
+            break
+        g = _int_gcd(g, c)
+    return g
+
+
+def _primitive(cs):
+    """The coefficient list divided by its content."""
+    g = _content(cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
 def poly_gcd(a: Laurent, b: Laurent) -> Laurent:
@@ -247,19 +315,25 @@ def poly_gcd(a: Laurent, b: Laurent) -> Laurent:
 
     Normalised so the leading coefficient is positive.  gcd(0, 0) = 0.
     """
-    if a.is_zero():
+    if not a.coeffs:
         g = b
-    elif b.is_zero():
+    elif not b.coeffs:
         g = a
+    elif len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        # the divisors of c q^e are the monomials d q^f with d | c, f <= e
+        if len(b.coeffs) == 1:
+            a, b = b, a
+        c = _content(b.coeffs, abs(a.coeffs[0]))
+        return _laurent((c,), min(a.offset, b.offset))
     else:
-        ca, cb = a.content(), b.content()
-        # common power of q
-        sh = min(a.low, b.low)
-        pa, pb = a.primitive().shift(-a.low), b.primitive().shift(-b.low)
-        while not pb.is_zero():
-            r = _pseudo_rem(pa, pb)
-            pa, pb = pb, r.primitive()
-        g = pa.primitive().shift(sh).scale(_int_gcd(ca, cb))
+        # primitive parts with the q-power removed; the gcd keeps the
+        # common power of q and the gcd of the contents
+        ca, cb = _content(a.coeffs), _content(b.coeffs)
+        pa = [c // ca for c in a.coeffs]
+        pb = [c // cb for c in b.coeffs]
+        while pb:
+            pa, pb = pb, _primitive(_pseudo_rem(pa, pb))
+        g = Laurent(pa, min(a.offset, b.offset)).scale(_int_gcd(ca, cb))
     if g.coeffs and g.coeffs[-1] < 0:
         g = -g
     return g
@@ -270,31 +344,31 @@ def poly_exact_div(a: Laurent, b: Laurent) -> Laurent:
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
-        return Laurent()
-    sh = b.low
-    a = a.shift(-sh)
-    b = b.shift(-sh)
-    if a.low < 0:
+        return _LZERO
+    # long division from the top; b has a nonzero constant term, so q^e
+    # with e = a.low - b.low factors out of an exact quotient
+    e = a.offset - b.offset
+    bc = b.coeffs
+    nb = len(bc)
+    nq = len(a.coeffs) - nb + 1
+    if e < 0 or nq <= 0:
         raise ArithmeticError("inexact polynomial division")
-    out = {}
-    r = a
-    lb = b.coeffs[-1]
-    while r.coeffs:
-        if r.high < b.high:
-            raise ArithmeticError("inexact polynomial division")
-        cq, rem = divmod(r.coeffs[-1], lb)
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        e = r.high - b.high
-        out[e] = cq
-        r = r - b.scale(cq).shift(e)
-    if not out:
-        return Laurent()
-    hi = max(out)
-    dense = [0] * (hi + 1)
-    for e, c in out.items():
-        dense[e] = c
-    return Laurent(dense)
+    lb = bc[-1]
+    bn = [(j, y) for j, y in enumerate(bc) if y]
+    r = list(a.coeffs)
+    out = [0] * nq
+    for k in range(nq - 1, -1, -1):
+        c = r[k + nb - 1]
+        if c:
+            cq, rem = divmod(c, lb)
+            if rem:
+                raise ArithmeticError("inexact polynomial division")
+            out[k] = cq
+            for j, y in bn:
+                r[k + j] -= cq * y
+    if any(r[: nb - 1]):
+        raise ArithmeticError("inexact polynomial division")
+    return _laurent(tuple(out), e)
 
 
 # ---------------------------------------------------------------------------
@@ -310,28 +384,33 @@ class QScalar:
         if isinstance(num, int):
             num = Laurent.const(num)
         if den is None:
-            den = Laurent.one()
+            den = _LONE
         elif isinstance(den, int):
             den = Laurent.const(den)
-        if den.is_zero():
+        if not den.coeffs:
             raise ZeroDivisionError("zero denominator in Q(q)")
-        if num.is_zero():
-            object.__setattr__(self, "num", Laurent.zero())
-            object.__setattr__(self, "den", Laurent.one())
+        if not num.coeffs:
+            _set_num(self, _LZERO)
+            _set_den(self, _LONE)
             return
         # clear negative exponents, then ensure a nonzero constant term
-        sh = min(num.low, den.low)
+        sh = min(num.offset, den.offset)
         num = num.shift(-sh)
         den = den.shift(-sh)
-        g = poly_gcd(num, den)
-        if not g.is_one():
-            num = poly_exact_div(num, g)
-            den = poly_exact_div(den, g)
+        # a denominator +-q^k is coprime to num already: a common factor
+        # would be a power of q, and the shift left one of them with a
+        # nonzero constant term
+        dc = den.coeffs
+        if len(dc) != 1 or (dc[0] != 1 and dc[0] != -1):
+            g = poly_gcd(num, den)
+            if not g.is_one():
+                num = poly_exact_div(num, g)
+                den = poly_exact_div(den, g)
         if den.coeffs[0] < 0:
             num = -num
             den = -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QScalar instances are immutable")
@@ -340,11 +419,11 @@ class QScalar:
 
     @staticmethod
     def zero():
-        return QScalar(0)
+        return QZERO
 
     @staticmethod
     def one():
-        return QScalar(1)
+        return QONE
 
     @staticmethod
     def from_int(c):
@@ -358,8 +437,8 @@ class QScalar:
     def q_power(e):
         e = int(e)
         if e >= 0:
-            return QScalar(Laurent.q_pow(e))
-        return QScalar(Laurent.one(), Laurent.q_pow(-e))
+            return _qscalar(Laurent.q_pow(e), _LONE)
+        return _qscalar(_LONE, Laurent.q_pow(-e))
 
     # -- structure
 
@@ -387,14 +466,13 @@ class QScalar:
     # -- arithmetic
 
     def __neg__(self):
-        out = object.__new__(QScalar)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return _qscalar(-self.num, self.den)
 
     def __add__(self, other):
         if isinstance(other, int):
             other = QScalar(other)
+        if self.den == other.den:
+            return QScalar(self.num + other.num, self.den)
         return QScalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -402,6 +480,8 @@ class QScalar:
     def __sub__(self, other):
         if isinstance(other, int):
             other = QScalar(other)
+        if self.den == other.den:
+            return QScalar(self.num - other.num, self.den)
         return QScalar(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
@@ -410,7 +490,11 @@ class QScalar:
     def __mul__(self, other):
         if isinstance(other, int):
             other = QScalar(other)
-        return QScalar(self.num * other.num, self.den * other.den)
+        sd, od = self.den, other.den
+        if sd.coeffs == (1,) == od.coeffs and not sd.offset and not od.offset:
+            # polynomial times polynomial is canonical over the denominator 1
+            return _qscalar(self.num * other.num, _LONE)
+        return QScalar(self.num * other.num, sd * od)
 
     __rmul__ = __mul__
 
@@ -427,18 +511,19 @@ class QScalar:
         return other / self
 
     def inverse(self):
-        if self.is_zero():
+        num, den = self.num, self.den
+        if not num.coeffs:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        return QScalar(self.den, self.num)
+        # the swapped pair is still coprime with a constant term
+        if num.coeffs[0] < 0:
+            return _qscalar(-den, -num)
+        return _qscalar(den, num)
 
     def __pow__(self, n):
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        out = object.__new__(QScalar)
-        object.__setattr__(out, "num", self.num ** n)
-        object.__setattr__(out, "den", self.den ** n)
-        return out
+        return _qscalar(self.num ** n, self.den ** n)
 
     def subs_q_inverse(self):
         """The image under the field automorphism q -> q^{-1}."""
@@ -446,7 +531,9 @@ class QScalar:
 
     def stretch(self, d):
         """The image under q -> q^d (an embedding of Q(q) into itself)."""
-        return QScalar(self.num.stretch(d), self.den.stretch(d))
+        # q -> q^d keeps every coefficient, coprimality and the constant
+        # terms, so the image of a canonical pair is canonical
+        return _qscalar(self.num.stretch(d), self.den.stretch(d))
 
     # -- printing
 
@@ -471,8 +558,20 @@ class QScalar:
         return "QScalar<%s>" % self.to_string()
 
 
-QZERO = QScalar.zero()
-QONE = QScalar.one()
+_set_num = QScalar.num.__set__
+_set_den = QScalar.den.__set__
+
+
+def _qscalar(num, den):
+    """A QScalar from a pair that is already canonical."""
+    x = object.__new__(QScalar)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+QZERO = _qscalar(_LZERO, _LONE)
+QONE = _qscalar(_LONE, _LONE)
 Q = QScalar.q_power(1)
 
 
@@ -500,6 +599,11 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > _Parser.MAX_DIGITS:
+                raise ScalarParseError(
+                    "integer literal of %d digits exceeds the cap of %d"
+                    % (j - i, _Parser.MAX_DIGITS)
+                )
             toks.append(int(text[i:j]))
             i = j
             continue
@@ -511,7 +615,22 @@ def _tokenize(text):
     return toks
 
 
+def _size(p):
+    """Degree and bit length of the coefficient 1-norm of a polynomial."""
+    return p.high, sum(abs(c) for c in p.coeffs).bit_length()
+
+
+def _size_product(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
 class _Parser:
+    # Caps on the work one expression may ask for, see qscalar_parse.
+    MAX_EXPONENT = 64
+    MAX_DEGREE = 64
+    MAX_COEFF_BITS = 128
+    MAX_DIGITS = len(str(1 << MAX_COEFF_BITS))
+
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
@@ -534,6 +653,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.parse_term()
+            self.check_binary(op, val, rhs)
             val = val + rhs if op == "+" else val - rhs
         return val
 
@@ -542,6 +662,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.parse_factor()
+            self.check_binary(op, val, rhs)
             val = val * rhs if op == "*" else val / rhs
         return val
 
@@ -560,6 +681,14 @@ class _Parser:
             e = self.take()
             if not isinstance(e, int):
                 raise ScalarParseError("exponent must be an integer")
+            if e > self.MAX_EXPONENT:
+                raise ScalarParseError(
+                    "exponent %d exceeds the cap of %d" % (e, self.MAX_EXPONENT)
+                )
+            num, den = _size(val.num), _size(val.den)
+            if esign < 0:
+                num, den = den, num
+            self.check_size((e * num[0], e * num[1]), (e * den[0], e * den[1]))
             val = val ** (esign * e)
         return val if sign == 1 else -val
 
@@ -575,17 +704,63 @@ class _Parser:
             return Q
         if isinstance(t, int):
             self.take()
-            return QScalar(t)
+            val = QScalar(t)
+            self.check_size(_size(val.num), _size(val.den))
+            return val
         raise ScalarParseError("unexpected token %r" % (t,))
+
+    def check_binary(self, op, a, b):
+        """Check the sizes of the unreduced a op b before it is computed."""
+        na, da = _size(a.num), _size(a.den)
+        nb, db = _size(b.num), _size(b.den)
+        if op == "*":
+            num, den = _size_product(na, nb), _size_product(da, db)
+        elif op == "/":
+            num, den = _size_product(na, db), _size_product(da, nb)
+        else:
+            # na*db +- nb*da: the larger size, plus one bit for the sum
+            u, v = _size_product(na, db), _size_product(nb, da)
+            num = max(u[0], v[0]), max(u[1], v[1]) + 1
+            den = _size_product(da, db)
+        self.check_size(num, den)
+
+    def check_size(self, num, den):
+        for deg, bits in (num, den):
+            if deg > self.MAX_DEGREE:
+                raise ScalarParseError(
+                    "degree %d exceeds the cap of %d" % (deg, self.MAX_DEGREE)
+                )
+            if bits > self.MAX_COEFF_BITS:
+                raise ScalarParseError(
+                    "coefficients of %d bits exceed the cap of %d"
+                    % (bits, self.MAX_COEFF_BITS)
+                )
 
 
 def qscalar_parse(text):
-    """Parse an expression in q (+, -, *, /, ^, parentheses) into a QScalar."""
+    """Parse an expression in q (+, -, *, /, ^, parentheses) into a QScalar.
+
+    The work one expression can ask for is capped.  Each cap is checked
+    before the value it limits is computed, and breaking one raises
+    ScalarParseError, as do malformed input and division by zero:
+
+    * an exponent ``^e`` has |e| <= 64;
+    * every numerator and denominator that an operation hands to the
+      canonical form, before reduction, has degree <= 64 and a coefficient
+      1-norm of at most 128 bits.  The sizes are bounded from the operands
+      (deg fg <= deg f + deg g, |fg|_1 <= |f|_1 |g|_1), so the caps hold
+      for every intermediate value: ``(1+q)^64`` and ``2^64`` pass, ``2^65``
+      and ``(1+q)^32 * (1+q)^33`` do not;
+    * an integer literal has at most 39 digits.
+    """
     toks = _tokenize(text)
     if not toks:
         raise ScalarParseError("empty scalar expression")
     p = _Parser(toks)
-    val = p.parse_expr()
+    try:
+        val = p.parse_expr()
+    except ZeroDivisionError as exc:
+        raise ScalarParseError(str(exc)) from None
     if p.peek() is not None:
         raise ScalarParseError("trailing input at token %r" % (p.peek(),))
     return val

@@ -128,6 +128,13 @@ class TestNormalize:
         )
         assert code == 2
 
+    def test_coefficient_past_a_cap_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "normalize", "--s", "01", "--element", "(q^65) t[2,1]"
+        )
+        assert code == 2
+        assert "exponent 65 exceeds the cap of 64" in err
+
 
 class TestBraidVerify:
     def test_single_position(self, capsys):
@@ -204,6 +211,23 @@ class TestEvalrep:
             "--a", "0",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ("q^65", "exponent 65 exceeds the cap of 64"),
+            ("(1+q)^40 * (1+q)^40", "degree 80 exceeds the cap of 64"),
+            ("1/0", "division by zero"),
+        ],
+    )
+    def test_scalar_past_a_cap_is_usage_error(self, capsys, a, message):
+        code, out, err = run(
+            capsys, "evalrep", "--s", "01", "--weights", "+q^1,+q^1",
+            "--a", a,
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 def write_factors(tmp_path, payload):
@@ -390,7 +414,8 @@ class TestPlumbing:
 
 class TestGoldenOutput:
     # sha256 of stdout, fixed from the hand-written relation checkers that
-    # the R-matrix expansion replaced; the relation reports must not move
+    # the R-matrix expansion replaced, and from the scalar kernel that ran
+    # the full gcd on every value; reports and canonical strings must not move
     README_FACTORS = {
         "sequence": "01",
         "factors": [
@@ -414,8 +439,28 @@ class TestGoldenOutput:
                 ["braid-verify", "--s", "001"],
                 "9d6d6d23fe59d45a046c4fa3eacd88b45a481536ef7373e643b2e5760bf20221",
             ),
+            (
+                ["evalrep", "--s", "001", "--weights", "+q^2,+q^1,+q^1",
+                 "--a", "q^1"],
+                "1074fa1783c75f3054ee961f081dcda9297c1814ff0349a916798dff62cddb99",
+            ),
+            (
+                ["module", "--s", "001", "--weights", "+q^2,+q^1,+q^1",
+                 "--verify"],
+                "ac3791c5c5aebe713788574b73719fe24ed6254148bf56d6db655ddbeb2710b9",
+            ),
+            (
+                ["module", "--s", "001", "--weights", "+q^3/2,+q^1/2,+q^1/2",
+                 "--verify"],
+                "06fabea5bfc5de89f73aba12fbdf96a9213f2ca9c4191d08dd725c6dc723be5c",
+            ),
+            (
+                ["module", "--s", "0011", "--weights", "+q^1,+q^0,+q^0,+q^0"],
+                "4629cf0fcf6c3c6f2074d8185d10be745d39647588279ff06ba0acdd37537e0f",
+            ),
         ],
-        ids=["evalrep", "tensor-verify", "braid-verify"],
+        ids=["evalrep", "tensor-verify", "braid-verify", "evalrep-001",
+             "module-001-verify", "module-001-half-verify", "module-0011"],
     )
     def test_stdout_digest(self, capsys, tmp_path, argv, digest):
         path = write_factors(tmp_path, self.README_FACTORS)

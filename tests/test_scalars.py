@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qglrtt.scalars import (
@@ -112,6 +112,111 @@ def test_poly_gcd_with_content():
 def test_poly_exact_div_raises_on_inexact():
     with pytest.raises(ArithmeticError):
         poly_exact_div(Laurent((1, 1)), Laurent((1, 1, 1)))
+    with pytest.raises(ArithmeticError):
+        poly_exact_div(Laurent((3, 6)), Laurent((2,)))
+    with pytest.raises(ArithmeticError):
+        poly_exact_div(Laurent((1, 1)), Laurent((1,), 1))
+
+
+def test_monomial_gcd_keeps_the_integer_gcd():
+    # 6q^3 against 4 + 2q: no power of q is shared, the integer gcd 2 is
+    assert poly_gcd(Laurent((6,), 3), Laurent((4, 2))) == Laurent((2,))
+    assert poly_gcd(Laurent((4, 2)), Laurent((6,), 3)) == Laurent((2,))
+    assert poly_gcd(Laurent((-6,), 3), Laurent((0, -4, 0, 8), 0)) == Laurent((2,), 1)
+    x = QScalar(Laurent((6,), 3), Laurent((4, 2)))
+    assert x.num == Laurent((3,), 3) and x.den == Laurent((2, 1))
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy, an independent implementation of Z[q]
+
+coeff_ints = st.integers(min_value=-50, max_value=50)
+
+
+@st.composite
+def oracle_laurents(draw, min_offset=-4, allow_zero=True):
+    """Monomials, constants and dense polynomials, often with content > 1."""
+    content = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    small = st.integers(min_value=-50 // content, max_value=50 // content)
+    kind = draw(st.sampled_from(["monomial", "constant", "dense", "dense"]))
+    if kind == "dense":
+        coeffs = draw(st.lists(small, min_size=2, max_size=8))
+    else:
+        coeffs = [draw(small.filter(bool))]
+    offset = 0 if kind == "constant" else draw(st.integers(min_offset, 4))
+    p = Laurent([c * content for c in coeffs], offset)
+    if not allow_zero and p.is_zero():
+        p = Laurent((content,), offset)
+    return p
+
+
+def _sympy_expr(q, p, shift=0):
+    """p * q^shift as a sympy expression."""
+    return sum(c * q ** (p.offset + shift + k) for k, c in enumerate(p.coeffs))
+
+
+def _coeffs_of(poly):
+    """(coefficients from the lowest nonzero one up, its exponent)."""
+    cs = [int(c) for c in poly.all_coeffs()[::-1]]
+    low = next(k for k, c in enumerate(cs) if c)
+    return tuple(cs[low:]), low
+
+
+@given(
+    oracle_laurents(min_offset=0),
+    oracle_laurents(min_offset=0),
+    st.one_of(st.none(), oracle_laurents(min_offset=0, allow_zero=False)),
+)
+@example(Laurent((-4, -2, 2)), Laurent((1, 4, 3)), None)  # 2(q+1)(q-2), (q+1)(3q+1)
+@example(Laurent((6,), 3), Laurent((4, 2)), None)
+@settings(max_examples=200, deadline=None)
+def test_poly_gcd_matches_sympy(a, b, common):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    if common is not None:
+        a, b = a * common, b * common
+    g = poly_gcd(a, b)
+    expected = sympy.Poly(
+        sympy.gcd(_sympy_expr(q, a), _sympy_expr(q, b)), q
+    )
+    if expected.is_zero:
+        assert g.is_zero()
+        return
+    if expected.LC() < 0:
+        expected = -expected
+    assert (g.coeffs, g.offset) == _coeffs_of(expected)
+
+
+@given(
+    oracle_laurents(),
+    oracle_laurents(allow_zero=False),
+    st.one_of(st.none(), oracle_laurents(allow_zero=False)),
+)
+@example(Laurent((6,), 3), Laurent((4, 2)), None)
+@example(Laurent((-4, -2, 2)), Laurent((1, 4, 3), -2), None)
+@settings(max_examples=200, deadline=None)
+def test_qscalar_matches_sympy_cancel(num, den, common):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    if common is not None:
+        num, den = num * common, den * common
+    x = QScalar(num, den)
+    # clear negative exponents on both sides, then cancel over Z
+    shift = -min(num.offset, den.offset)
+    n, d = sympy.Poly(_sympy_expr(q, num, shift), q).cancel(
+        sympy.Poly(_sympy_expr(q, den, shift), q), include=True
+    )
+    if n.is_zero:
+        assert x.is_zero() and x.den.is_one()
+        return
+    n_coeffs, n_low = _coeffs_of(n)
+    d_coeffs, d_low = _coeffs_of(d)
+    # the module's normalisation: lowest denominator coefficient positive
+    if d_coeffs[0] < 0:
+        n_coeffs = tuple(-c for c in n_coeffs)
+        d_coeffs = tuple(-c for c in d_coeffs)
+    assert (x.num.coeffs, x.num.offset) == (n_coeffs, n_low)
+    assert (x.den.coeffs, x.den.offset) == (d_coeffs, d_low)
 
 
 # ---------------------------------------------------------------------------
@@ -187,3 +292,68 @@ def test_q_inverse_is_involutive_automorphism(a):
 def test_q_inverse_respects_products(a, b):
     assert (a * b).subs_q_inverse() == a.subs_q_inverse() * b.subs_q_inverse()
     assert (a + b).subs_q_inverse() == a.subs_q_inverse() + b.subs_q_inverse()
+
+
+# ---------------------------------------------------------------------------
+# input caps of the parser
+
+
+@pytest.fixture
+def within_caps(monkeypatch):
+    """Fail as soon as a Laurent product, sum or power exceeds the caps."""
+    from qglrtt.scalars import _Parser
+
+    def guarded(op):
+        def wrapper(self, other):
+            out = op(self, other)
+            assert out.high <= _Parser.MAX_DEGREE
+            norm = sum(abs(c) for c in out.coeffs)
+            assert norm.bit_length() <= _Parser.MAX_COEFF_BITS
+            return out
+
+        return wrapper
+
+    for name in ("__mul__", "__add__", "__pow__"):
+        monkeypatch.setattr(Laurent, name, guarded(getattr(Laurent, name)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q^64",
+        "q^-64",
+        "(1+q)^64",
+        "(1+q)^32 * (1+q)^32",
+        "(1+q^2)^32",
+        "(1+q)^-32 / (1-q)^32",
+        "1/q^32 + q^32",
+        "4^42",
+        "2^64 * 2^62",
+        "1" + "0" * 38,
+    ],
+)
+def test_parser_accepts_up_to_the_caps(within_caps, text):
+    qscalar_parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("q^65", "exponent 65 exceeds the cap of 64"),
+        ("q^-65", "exponent 65 exceeds the cap of 64"),
+        ("(1+q)^32 * (1+q)^33", "degree 65 exceeds the cap of 64"),
+        ("(1+q^2)^33", "degree 66 exceeds the cap of 64"),
+        ("(1+q)^-32 / (1-q)^33", "degree 65 exceeds the cap of 64"),
+        ("1/q^33 + q^32", "degree 65 exceeds the cap of 64"),
+        ("4^43", "coefficients of 129 bits exceed the cap of 128"),
+        ("2^64 * 2^63", "coefficients of 129 bits exceed the cap of 128"),
+        ("9" * 39, "coefficients of 130 bits exceed the cap of 128"),
+        ("1" + "0" * 39, "integer literal of 40 digits exceeds the cap of 39"),
+        ("1/0", "division by zero"),
+        ("(q - q)^-1", "inverse of zero"),
+    ],
+)
+def test_parser_refuses_past_the_caps(within_caps, text, message):
+    # within_caps shows that the refused value was never computed
+    with pytest.raises(ScalarParseError, match=message.replace("^", r"\^")):
+        qscalar_parse(text)
