@@ -11,8 +11,12 @@ respect to the PBW basis of ordered monomials
 
 with exponents in Z_+ for even off-diagonal generators, {0,1} for odd ones,
 and Z on the diagonal.  Straightening repeatedly rewrites the leftmost
-adjacent out-of-order pair with the matching explicit defining relation;
-diagonal generators move past everything by a scalar rule.
+adjacent out-of-order pair; diagonal generators move past everything by a
+scalar rule.  The rule for a non-diagonal pair g1 = (., a, b) before
+g2 = (., c, d) is not written out: it is relation instance (c, d, a, b) of
+the family of g2 g1 in the R-matrix expansion (:func:`relation_expansion`),
+solved for g1 g2.  Its first word is the swapped pair g2 g1, which is one
+step closer to normal form; the correction words carry the other letters.
 """
 
 from __future__ import annotations
@@ -83,68 +87,24 @@ def _qdiff(s, i):
 def _pair_rule(bits, g1, g2):
     """Rewrite for the out-of-order adjacent word g1 g2 (both non-diagonal).
 
+    With g1 = (., a, b) and g2 = (., c, d), the rule is relation instance
+    (c, d, a, b) of the family of g2 g1 (:func:`relation_expansion`), solved
+    for g1 g2: that instance holds both orders of the pair.  The swapped
+    word g2 g1 comes first, because it is the step towards normal form and
+    the rest of the tuple is the correction that the relation adds to it.
     Returns a tuple of (coefficient, letters) contributions, each letters a
-    tuple of generators (exponent one each); generators falling outside the
-    triangular ranges are dropped as zero.
+    tuple of generators (exponent one each); identical words are merged and
+    generators falling outside the triangular ranges are dropped as zero.
     """
     s = ParitySeq(bits)
-    k1, a, b = g1
-    k2, c, d = g2
-    out = []
-
-    def t_ok(i, j):
-        return i >= j
-
-    def tb_ok(i, j):
-        return i <= j
-
-    if k1 == "t" and k2 == "t":
-        # relation with t_{cd} t_{ab} leading:
-        # q_c^{d_ca} t_cd t_ab - vs_{cd;ab} q_d^{d_db} t_ab t_cd
-        #   = vs_{ca;ab} (q_a - q_a^{-1}) (d_{d<b} - d_{a<c}) t_ad t_cb
-        vs = QScalar.from_int(varsigma(s, c, d, a, b))
-        inv = vs * (_qi(s, d) ** (-1 if d == b else 0))
-        lead = inv * (_qi(s, c) ** (1 if c == a else 0))
-        out.append((lead, (g2, g1)))
-        f = (1 if d < b else 0) - (1 if a < c else 0)
-        if f and t_ok(a, d) and t_ok(c, b):
-            coeff = (
-                -inv
-                * QScalar.from_int(varsigma(s, c, a, a, b) * f)
-                * _qdiff(s, a)
-            )
-            out.append((coeff, (("t", a, d), ("t", c, b))))
-    elif k1 == "tb" and k2 == "tb":
-        vs = QScalar.from_int(varsigma(s, c, d, a, b))
-        inv = vs * (_qi(s, d) ** (-1 if d == b else 0))
-        lead = inv * (_qi(s, c) ** (1 if c == a else 0))
-        out.append((lead, (g2, g1)))
-        f = (1 if d < b else 0) - (1 if a < c else 0)
-        if f and tb_ok(a, d) and tb_ok(c, b):
-            coeff = (
-                -inv
-                * QScalar.from_int(varsigma(s, c, a, a, b) * f)
-                * _qdiff(s, a)
-            )
-            out.append((coeff, (("tb", a, d), ("tb", c, b))))
-    else:
-        # g1 = tbar_{kl} raising, g2 = t_{ij} lowering; mixed relation with
-        # q_i^{d_ik} t_ij tb_kl - vs_{ij;kl} q_j^{d_jl} tb_kl t_ij
-        #   = vs_{ik;kl} (q_k - q_k^{-1}) (d_{j<l} tb_kj t_il - d_{k<i} t_kj tb_il)
-        if k1 != "tb" or k2 != "t":
-            raise AssertionError("unexpected pair %r %r" % (g1, g2))
-        k, l = a, b
-        i, j = c, d
-        vs = QScalar.from_int(varsigma(s, i, j, k, l))
-        inv = vs * (_qi(s, j) ** (-1 if j == l else 0))
-        lead = inv * (_qi(s, i) ** (1 if i == k else 0))
-        out.append((lead, (g2, g1)))
-        base = inv * QScalar.from_int(varsigma(s, i, k, k, l)) * _qdiff(s, k)
-        if j < l and tb_ok(k, j) and t_ok(i, l):
-            out.append((-base, (("tb", k, j), ("t", i, l))))
-        if k < i and t_ok(k, j) and tb_ok(i, l):
-            out.append((base, (("t", k, j), ("tb", i, l))))
-    return tuple(out)
+    # a mixed pair is out of order only as tb t, a word of the ttb family
+    which = "ttb" if g1[0] != g2[0] else "tt" if g1[0] == "t" else "tbtb"
+    merged = _constant_part(
+        _relation_instance(s, g2[1], g2[2], g1[1], g1[2]), _FAMILY_KINDS[which]
+    )
+    scale = -merged.pop((g1, g2)).inverse()
+    words = [((g2, g1), merged.pop((g2, g1)))] + list(merged.items())
+    return tuple((scale * c, letters) for letters, c in words)
 
 
 class StraighteningBudgetExceeded(RuntimeError):
@@ -461,6 +421,34 @@ def super_bracket(x, y, a=None):
 # defining relations
 
 
+@lru_cache(maxsize=64)
+def _rmatrix_tables(bits):
+    """The entries of R(u, v) by row pair and by column pair, 1-based."""
+    N = len(bits)
+    rows, cols = {}, {}
+    for expo, m in spectral_rmatrix(bits).terms.items():
+        for (r, c), v in m.entries.items():
+            (i, k), (a, b) = divmod(r, N), divmod(c, N)
+            rows.setdefault((i + 1, k + 1), []).append((expo, a + 1, b + 1, v))
+            cols.setdefault((a + 1, b + 1), []).append((expo, i + 1, k + 1, v))
+    return rows, cols
+
+
+def _relation_instance(s, i, j, k, l):
+    """The terms of relation instance (i, j, k, l), see relation_expansion."""
+    par = (0,) + s.bits
+    rows, cols = _rmatrix_tables(s.bits)
+    outer = (par[k] + par[l]) * par[i]
+    terms = []
+    for expo, a, b, v in rows.get((i, k), ()):
+        odd = ((par[b] + par[l]) * par[a] + outer + 1) % 2
+        terms.append((-v if odd else v, expo, (0, a, j), (1, b, l)))
+    for expo, c, d, v in cols.get((j, l), ()):
+        odd = ((par[k] + par[d]) * par[c] + outer) % 2
+        terms.append((-v if odd else v, expo, (1, k, d), (0, i, c)))
+    return terms
+
+
 def relation_expansion(s):
     """Expand R(u,v) T1(u) T2(v) - T2(v) T1(u) R(u,v) entry by entry.
 
@@ -475,42 +463,27 @@ def relation_expansion(s):
     ``{(i, j, k, l): [(coeff, (eu, ev), x, y), ...]}`` in lexicographic
     order of the indices; each term is ``coeff u^eu v^ev x y`` with the
     letters written ``(var, row, col)``: var 0 is g_{row,col}(u) and var 1
-    is g'_{row,col}(v).  Every relation check reads its coefficients here.
+    is g'_{row,col}(v).  Every relation check and every straightening rule
+    reads its coefficients here.
     """
     s = ParitySeq(s)
-    N = s.N
-    par = (0,) + s.bits
-    rows, cols = {}, {}
-    for expo, m in spectral_rmatrix(s).terms.items():
-        for (r, c), v in m.entries.items():
-            (i, k), (a, b) = divmod(r, N), divmod(c, N)
-            rows.setdefault((i + 1, k + 1), []).append((expo, a + 1, b + 1, v))
-            cols.setdefault((a + 1, b + 1), []).append((expo, i + 1, k + 1, v))
-    out = {}
-    for i, j, k, l in product(range(1, N + 1), repeat=4):
-        outer = (par[k] + par[l]) * par[i]
-        terms = []
-        for expo, a, b, v in rows.get((i, k), ()):
-            odd = ((par[b] + par[l]) * par[a] + outer + 1) % 2
-            terms.append((-v if odd else v, expo, (0, a, j), (1, b, l)))
-        for expo, c, d, v in cols.get((j, l), ()):
-            odd = ((par[k] + par[d]) * par[c] + outer) % 2
-            terms.append((-v if odd else v, expo, (1, k, d), (0, i, c)))
-        out[(i, j, k, l)] = terms
-    return out
+    return {
+        idx: _relation_instance(s, *idx)
+        for idx in product(range(1, s.N + 1), repeat=4)
+    }
 
 
 # the (g, g') generator kinds of the finite relation families
 _FAMILY_KINDS = {"tt": ("t", "t"), "tbtb": ("tb", "tb"), "ttb": ("t", "tb")}
 
 
-def _finite_residual(s, terms, which, image):
-    """Minus the u^1 v^0 part of one expanded instance, on generator images.
+def _constant_part(terms, kinds):
+    """Minus the u^1 v^0 part of one expanded instance, as {(x, y): coeff}.
 
-    Letters outside the triangular ranges are zero and dropped; identical
-    products merge before any multiplication.
+    `kinds` names the generators of the family.  Letters outside the
+    triangular ranges are zero and dropped; identical products merge, and
+    products whose coefficients cancel are left out.
     """
-    kinds = _FAMILY_KINDS[which]
     merged = {}
     for c, expo, x, y in terms:
         if expo != (1, 0):
@@ -518,11 +491,15 @@ def _finite_residual(s, terms, which, image):
         key = tuple((kinds[var], a, b) for var, a, b in (x, y))
         if all(a >= b if kind == "t" else a <= b for kind, a, b in key):
             merged[key] = merged.get(key, QZERO) - c
+    return {key: c for key, c in merged.items() if not c.is_zero()}
+
+
+def _finite_residual(s, terms, which, image):
+    """Minus the u^1 v^0 part of one expanded instance, on generator images."""
     total = None
-    for (g1, g2), c in merged.items():
-        if not c.is_zero():
-            term = (image(*g1) * image(*g2)).scale(c)
-            total = term if total is None else total + term
+    for (g1, g2), c in _constant_part(terms, _FAMILY_KINDS[which]).items():
+        term = (image(*g1) * image(*g2)).scale(c)
+        total = term if total is None else total + term
     return AlgebraElement.zero(s) if total is None else total
 
 
@@ -825,7 +802,9 @@ def _parse_term(s, chunk, sgn):
     import re
 
     pos = 0
-    coeff = QONE if sgn == 1 else -QONE
+    # the coefficient factors are multiplied by one qscalar_parse call, so
+    # the parser's caps bound their product before it is computed
+    factors = []
     letters = []
     n = len(chunk)
     letter_re = re.compile(r"(tb|t)\[\s*(\d+)\s*,\s*(\d+)\s*\](\^(-?\d+))?")
@@ -845,13 +824,7 @@ def _parse_term(s, chunk, sgn):
                 j += 1
             if depth:
                 raise ElementParseError("unbalanced parentheses in coefficient")
-            inner = chunk[pos + 1 : j - 1]
-            try:
-                coeff = coeff * qscalar_parse(inner)
-            except ValueError as exc:
-                raise ElementParseError(
-                    "bad coefficient %r: %s" % (inner, exc)
-                ) from exc
+            factors.append(chunk[pos:j])
             pos = j
             continue
         m = letter_re.match(chunk, pos)
@@ -875,10 +848,19 @@ def _parse_term(s, chunk, sgn):
         # bare integer coefficient
         m2 = re.match(r"\d+", chunk[pos:])
         if m2:
-            coeff = coeff * QScalar.from_int(int(m2.group(0)))
+            factors.append(m2.group(0))
             pos += m2.end()
             continue
         raise ElementParseError(
             "unexpected input %r in element term" % chunk[pos : pos + 8]
         )
-    return AlgebraElement.from_word(s, letters, coeff)
+    coeff = QONE
+    if factors:
+        text = "*".join(factors)
+        try:
+            coeff = qscalar_parse(text)
+        except ValueError as exc:
+            raise ElementParseError(
+                "bad coefficient %r: %s" % (text, exc)
+            ) from exc
+    return AlgebraElement.from_word(s, letters, coeff if sgn == 1 else -coeff)

@@ -630,10 +630,12 @@ class _Parser:
     MAX_DEGREE = 64
     MAX_COEFF_BITS = 128
     MAX_DIGITS = len(str(1 << MAX_COEFF_BITS))
+    MAX_DEPTH = 64
 
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -695,9 +697,16 @@ class _Parser:
     def parse_atom(self):
         t = self.peek()
         if t == "(":
+            if self.depth == self.MAX_DEPTH:
+                raise ScalarParseError(
+                    "nesting depth %d exceeds the cap of %d"
+                    % (self.depth + 1, self.MAX_DEPTH)
+                )
             self.take()
+            self.depth += 1
             val = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return val
         if t == "q":
             self.take()
@@ -751,7 +760,8 @@ def qscalar_parse(text):
       (deg fg <= deg f + deg g, |fg|_1 <= |f|_1 |g|_1), so the caps hold
       for every intermediate value: ``(1+q)^64`` and ``2^64`` pass, ``2^65``
       and ``(1+q)^32 * (1+q)^33`` do not;
-    * an integer literal has at most 39 digits.
+    * an integer literal has at most 39 digits;
+    * parentheses nest at most 64 deep.
     """
     toks = _tokenize(text)
     if not toks:

@@ -192,63 +192,6 @@ def graded_kron(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def embed_two_leg(m: Mat, p1: int, p2: int, v: Space, nlegs: int) -> Mat:
-    """Embed an operator on V (x) V into legs p1 < p2 of V^{(x) nlegs}.
-
-    Signs follow from applying the leg-p2 elementary factor first and the
-    leg-p1 factor second; unaffected legs must match.
-    """
-    if not 0 <= p1 < p2 < nlegs:
-        raise ValueError("need 0 <= p1 < p2 < nlegs")
-    n = v.dim
-    big = v
-    for _ in range(nlegs - 1):
-        big = big.tensor(v)
-    out = Mat(big)
-    others = [t for t in range(nlegs) if t not in (p1, p2)]
-
-    def tuples(depth, cur, acc):
-        if depth == len(others):
-            acc.append(tuple(cur))
-            return
-        for x in range(n):
-            cur.append(x)
-            tuples(depth + 1, cur, acc)
-            cur.pop()
-
-    rest = []
-    tuples(0, [], rest)
-    for ((i, j), (k, l)) in [
-        (divmod(rr, n), divmod(cc, n)) for (rr, cc) in m.entries
-    ]:
-        val = m.entries[(i * n + j, k * n + l)]
-        pe2 = (v.parity(j) + v.parity(l)) % 2
-        pe1 = (v.parity(i) + v.parity(k)) % 2
-        for fill in rest:
-            col = [0] * nlegs
-            row = [0] * nlegs
-            for t, x in zip(others, fill):
-                col[t] = x
-                row[t] = x
-            col[p1], col[p2] = k, l
-            row[p1], row[p2] = i, j
-            # decomposing the two-leg matrix into elementary factors absorbs
-            # one Koszul sign already stored in its entries, so only the
-            # parities of the spectator legs enter here
-            sgn = 0
-            if pe2:
-                sgn += sum(v.parity(col[t]) for t in range(p2) if t != p1)
-            if pe1:
-                sgn += sum(v.parity(col[t]) for t in range(p1))
-            ridx = 0
-            cidx = 0
-            for t in range(nlegs):
-                ridx = ridx * n + row[t]
-                cidx = cidx * n + col[t]
-            out.add_to(ridx, cidx, -val if sgn % 2 else val)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # R-matrices
 
@@ -401,9 +344,16 @@ def spectral_rmatrix(s, R=None, Rt=None):
     return out
 
 
-def _three_leg(mat2, p1, p2, s):
-    v = Space.natural(s)
-    return embed_two_leg(mat2, p1, p2, v, 3)
+def _three_legs(m, s):
+    """(M12, M13, M23) on V (x) V (x) V for an operator M on V (x) V.
+
+    M12 = M (x) 1 and M23 = 1 (x) M carry the Koszul signs of graded_kron;
+    M13 = P23 M12 P23 with the graded flip P23 = 1 (x) P of legs 2 and 3.
+    """
+    ident = Mat.identity(Space.natural(s))
+    m12 = graded_kron(m, ident)
+    p23 = graded_kron(ident, perm_matrix(s))
+    return m12, p23 @ m12 @ p23, graded_kron(ident, m)
 
 
 def ybe_residual_constant(s, R=None):
@@ -411,9 +361,7 @@ def ybe_residual_constant(s, R=None):
     s = ParitySeq(s)
     if R is None:
         R = rmatrix(s)
-    r12 = _three_leg(R, 0, 1, s)
-    r13 = _three_leg(R, 0, 2, s)
-    r23 = _three_leg(R, 1, 2, s)
+    r12, r13, r23 = _three_legs(R, s)
     return (r12 @ r13 @ r23) - (r23 @ r13 @ r12)
 
 
@@ -425,21 +373,13 @@ def ybe_residual_spectral(s, R=None, Rt=None):
     s = ParitySeq(s)
     R = rmatrix(s) if R is None else R
     Rt = rmatrix_tilde(s) if Rt is None else Rt
-    v3 = _three_leg(R, 0, 1, s).space
-
-    def spectral(p1, p2, var1, var2):
-        m = SeriesMat(3, v3)
-        e1 = [0, 0, 0]
-        e1[var1] = 1
-        e2 = [0, 0, 0]
-        e2[var2] = 1
-        m.add_term(tuple(e1), _three_leg(R, p1, p2, s))
-        m.add_term(tuple(e2), -_three_leg(Rt, p1, p2, s))
-        return m
-
-    r12 = spectral(0, 1, 0, 1)  # variables (u, v)
-    r13 = spectral(0, 2, 0, 2)  # (u, w)
-    r23 = spectral(1, 2, 1, 2)  # (v, w)
+    # R_ab(x, y) = x R_ab - y R~_ab in the variables (u, v), (u, w), (v, w)
+    monomials = [((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)),
+                 ((0, 1, 0), (0, 0, 1))]
+    r12, r13, r23 = (
+        SeriesMat(3, m.space, {x: m, y: -mt})
+        for m, mt, (x, y) in zip(_three_legs(R, s), _three_legs(Rt, s), monomials)
+    )
     return (r12 @ r13 @ r23) - (r23 @ r13 @ r12)
 
 

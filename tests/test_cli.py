@@ -135,6 +135,39 @@ class TestNormalize:
         assert code == 2
         assert "exponent 65 exceeds the cap of 64" in err
 
+    def test_coefficient_product_is_capped(self, capsys):
+        # the factors of a term are multiplied inside the scalar parser
+        code, data, _ = run_json(
+            capsys, "normalize", "--s", "01", "--element",
+            "((1+q)^32)((1+q)^32) t[2,1]",
+        )
+        assert code == 0
+        code, out, err = run(
+            capsys, "normalize", "--s", "01", "--element",
+            "((1+q)^64)((1+q)^64) t[2,1]",
+        )
+        assert code == 2
+        assert out == ""
+        assert "degree 128 exceeds the cap of 64" in err
+        code, data, _ = run_json(
+            capsys, "normalize", "--s", "01", "--element", "2 3 t[2,1]"
+        )
+        assert code == 0
+        assert [t["coeff"] for t in data["terms"]] == ["6"]
+
+    def test_coefficient_nesting_is_capped(self, capsys):
+        nested = "(" * 64 + "q" + ")" * 64
+        code, _, _ = run(
+            capsys, "normalize", "--s", "01", "--element", nested + " t[2,1]"
+        )
+        assert code == 0
+        code, out, err = run(
+            capsys, "normalize", "--s", "01", "--element", "(%s) t[2,1]" % nested
+        )
+        assert code == 2
+        assert out == ""
+        assert "nesting depth 65 exceeds the cap of 64" in err
+
 
 class TestBraidVerify:
     def test_single_position(self, capsys):
@@ -218,6 +251,11 @@ class TestEvalrep:
             ("q^65", "exponent 65 exceeds the cap of 64"),
             ("(1+q)^40 * (1+q)^40", "degree 80 exceeds the cap of 64"),
             ("1/0", "division by zero"),
+            pytest.param(
+                "(" * 65 + "q" + ")" * 65,
+                "nesting depth 65 exceeds the cap of 64",
+                id="depth-65",
+            ),
         ],
     )
     def test_scalar_past_a_cap_is_usage_error(self, capsys, a, message):
@@ -414,8 +452,9 @@ class TestPlumbing:
 
 class TestGoldenOutput:
     # sha256 of stdout, fixed from the hand-written relation checkers that
-    # the R-matrix expansion replaced, and from the scalar kernel that ran
-    # the full gcd on every value; reports and canonical strings must not move
+    # the R-matrix expansion replaced, from the scalar kernel that ran the
+    # full gcd on every value, and from the hand-written straightening rules
+    # and three-leg embedding; reports and canonical strings must not move
     README_FACTORS = {
         "sequence": "01",
         "factors": [
@@ -458,9 +497,29 @@ class TestGoldenOutput:
                 ["module", "--s", "0011", "--weights", "+q^1,+q^0,+q^0,+q^0"],
                 "4629cf0fcf6c3c6f2074d8185d10be745d39647588279ff06ba0acdd37537e0f",
             ),
+            (
+                ["normalize", "--s", "0011", "--element",
+                 "tb[1,2]^3 tb[3,4]^3 t[2,1]^3 t[4,3]^3"],
+                "067f7358d3df0fdb7fe5bc3a434bd1086d3d1919699dfce9ed3214dfbb101483",
+            ),
+            (
+                ["normalize", "--s", "0001", "--element",
+                 "tb[1,2]^3 tb[3,4] t[2,1]^3 t[4,3]"],
+                "1db9dc0732bf573567aea7ce8e1b7405f3c3184eee78619db02b648757a2f733",
+            ),
+            (
+                ["braid-verify", "--s", "0101"],
+                "23b9221996fe6d8b0b80428842474fa174203405fa0771d62355d3c524bfc7ee",
+            ),
+            (
+                ["ybe", "--m", "2", "--n", "1"],
+                "8adad0c16cd567fab990a1c34a3cd1acb3e0ee98550d17ea2faa73d0485fa490",
+            ),
         ],
         ids=["evalrep", "tensor-verify", "braid-verify", "evalrep-001",
-             "module-001-verify", "module-001-half-verify", "module-0011"],
+             "module-001-verify", "module-001-half-verify", "module-0011",
+             "normalize-0011", "normalize-0001", "braid-verify-0101",
+             "ybe-2-1"],
     )
     def test_stdout_digest(self, capsys, tmp_path, argv, digest):
         path = write_factors(tmp_path, self.README_FACTORS)

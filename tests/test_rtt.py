@@ -1,6 +1,9 @@
 """Tests for the PBW straightening engine and the defining relations."""
 
+import hashlib
+import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +24,7 @@ from qglrtt.rtt import (
     scale_automorphism,
     super_bracket,
 )
-from qglrtt.scalars import QONE, QScalar, qscalar_parse
+from qglrtt.scalars import QONE, QZERO, QScalar, qscalar_parse
 
 
 def gen(s, kind, i, j, exp=1):
@@ -148,8 +151,9 @@ def test_relation_checker_sees_corruption():
 
 
 def test_relation_check_is_independent_of_the_engine(monkeypatch):
-    # the relation coefficients come from the R-matrix, not from the rewrite
-    # table, so a rewrite rule that loses its correction term is caught
+    # each rewrite rule solves one relation instance for one word, while the
+    # check evaluates every instance whole on straightened products of
+    # generators, so a rewrite rule that loses its correction term is caught
     orig = rtt._pair_rule
     monkeypatch.setattr(
         rtt, "_pair_rule", lambda bits, g1, g2: orig(bits, g1, g2)[:1]
@@ -164,7 +168,60 @@ def test_relation_check_is_independent_of_the_engine(monkeypatch):
     }
 
 
+def test_pair_rule_table_digest():
+    # every out-of-order pair on every sequence of length 2-4, pinned to the
+    # table that was written out by hand before the rules were derived
+    table = []
+    for n in (2, 3, 4):
+        for bits in product("01", repeat=n):
+            s = ParitySeq("".join(bits))
+            gens = sorted(g for g in pbw_generator_order(s) if g[1] != g[2])
+            for g1, g2 in product(gens, repeat=2):
+                if rtt._slot(g1) <= rtt._slot(g2):
+                    continue
+                rule = rtt._pair_rule(s.bits, g1, g2)
+                assert rule[0][1] == (g2, g1)
+                merged = {}
+                for c, letters in rule:
+                    merged[letters] = merged.get(letters, QZERO) + c
+                table.append([str(s), list(g1), list(g2), sorted(
+                    [[list(map(list, letters)), str(c)]
+                     for letters, c in merged.items() if not c.is_zero()]
+                )])
+    assert len(table) == 1180
+    digest = hashlib.sha256(
+        json.dumps(table, separators=(",", ":")).encode()
+    ).hexdigest()
+    assert digest == (
+        "ecc79fb87cb4c18fb3af7fc340bc527710ad39c50f05a9e8c8f59c4c397b4b47"
+    )
+
+
 # --- associativity / confluence ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bits",
+    ["00", "01", "10", "11", "000", "001", "010", "011", "100", "101", "110",
+     "111", "0011", "0101", "0110", "1001"],
+)
+def test_associativity_all_letter_triples(bits):
+    # the ambiguities of the rewrite system are three-letter words, so
+    # (a b) c == a (b c) over all letters is Bergman's diamond condition
+    s = ParitySeq(bits)
+    letters = [
+        gen(s, kind, i, j, e)
+        for kind, i, j in pbw_generator_order(s)
+        for e in ((1, -1) if i == j else (1,))
+    ]
+    products = {
+        (x, y): letters[x] * letters[y]
+        for x, y in product(range(len(letters)), repeat=2)
+    }
+    for x, y, z in product(range(len(letters)), repeat=3):
+        assert products[x, y] * letters[z] == letters[x] * products[y, z], (
+            x, y, z
+        )
 
 
 def _random_element(rng, s, nletters):

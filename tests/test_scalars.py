@@ -330,6 +330,7 @@ def within_caps(monkeypatch):
         "4^42",
         "2^64 * 2^62",
         "1" + "0" * 38,
+        pytest.param("(" * 64 + "q" + ")" * 64, id="depth-64"),
     ],
 )
 def test_parser_accepts_up_to_the_caps(within_caps, text):
@@ -351,9 +352,18 @@ def test_parser_accepts_up_to_the_caps(within_caps, text):
         ("1" + "0" * 39, "integer literal of 40 digits exceeds the cap of 39"),
         ("1/0", "division by zero"),
         ("(q - q)^-1", "inverse of zero"),
+        pytest.param(
+            "(" * 65 + "q" + ")" * 65, "nesting depth 65 exceeds the cap of 64",
+            id="depth-65",
+        ),
+        pytest.param(
+            "(" * 400 + "q" + ")" * 400, "nesting depth 65 exceeds the cap of 64",
+            id="depth-400",
+        ),
     ],
 )
 def test_parser_refuses_past_the_caps(within_caps, text, message):
     # within_caps shows that the refused value was never computed
     with pytest.raises(ScalarParseError, match=message.replace("^", r"\^")):
         qscalar_parse(text)
+

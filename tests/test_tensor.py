@@ -9,7 +9,6 @@ from qglrtt.tensor import (
     Space,
     check_ybe,
     crossing_residual,
-    embed_two_leg,
     graded_kron,
     perm_matrix,
     qminus,
@@ -49,12 +48,6 @@ def test_graded_kron_composition_sign():
     right = graded_kron(ident, b) @ graded_kron(a, ident)
     assert left == graded_kron(a, b)
     assert right == graded_kron(a, b).scale(QScalar.from_int(-1))
-
-
-def test_embed_two_leg_identity_case():
-    v = Space.natural("01")
-    R = rmatrix("01")
-    assert embed_two_leg(R, 0, 1, v, 2) == R
 
 
 def test_rmatrix_01_matches_tabulated_entries():
