@@ -21,6 +21,7 @@ step closer to normal form; the correction words carry the other letters.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache, partial
 from itertools import product
 
@@ -60,6 +61,10 @@ def _slot(gen):
     return (2, j, i)
 
 
+def _letter_text(gen, e):
+    return "%s[%d,%d]%s" % (gen[0], gen[1], gen[2], "" if e == 1 else "^%d" % e)
+
+
 def pbw_generator_order(s):
     """The full ordered generator list underlying exponent vectors."""
     N = s.N
@@ -83,7 +88,7 @@ def _qdiff(s, i):
     return _qi(s, i) - _qi(s, i).inverse()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _pair_rule(bits, g1, g2):
     """Rewrite for the out-of-order adjacent word g1 g2 (both non-diagonal).
 
@@ -114,27 +119,45 @@ class StraighteningBudgetExceeded(RuntimeError):
 def _normalize(s, words, budget=None):
     """Straighten a dict {word: coeff} into normal-form {key: coeff}.
 
-    A word is a tuple of (gen, exp) letters.  The budget caps the number of
-    processed words and scales with word length and degree, so runaway
-    rewriting raises instead of spinning.
+    A word is a tuple of (gen, exp) letters.  Words waiting to be rewritten
+    sit in a worklist, a dict from word to coefficient: pushing a word that
+    is already pending adds its coefficient, so a word that the rewriting
+    produces many times is expanded once.  Pending words are popped in
+    first-in, first-out order, so the words that one round of rewriting
+    makes are all pending, and merged, before any of them is expanded.  A
+    popped word is rewritten at its leftmost out-of-order pair until it is
+    in normal form, dies by the odd-square rule, or forks by a relation
+    rule into new pending words.  Normal forms are unique
+    (:func:`check_normal_form_uniqueness`), so the order changes the work
+    and never the result.
+
+    The budget caps the number of popped words with a nonzero coefficient
+    (a merged word whose coefficients cancel is dropped and not counted).
+    It scales with word length and degree, so runaway rewriting raises
+    instead of spinning.
     """
     if budget is None:
         maxlen = max((len(w) for w in words), default=0)
         maxdeg = max(
             (max((abs(e) for _, e in w), default=1) for w in words), default=1
         )
-        budget = 5000 * (maxlen + 2) * (maxlen + 2) * (maxdeg + 1)
+        budget = 1000 * (maxlen + 2) * (maxlen + 2) * (maxdeg + 1)
     out = {}
     # odd generators square to zero; rewriting never raises the exponent of
     # an odd letter, so only the input words can hold an odd power
-    stack = [
-        (w, c)
+    pending = {
+        w: c
         for w, c in words.items()
         if not c.is_zero() and not any(e > 1 and gen_is_odd(s, g) for g, e in w)
-    ]
+    }
+    # the keys in push order; a key is queued exactly while it is pending
+    queue = deque(pending)
     steps = 0
-    while stack:
-        word, coeff = stack.pop()
+    while queue:
+        word = queue.popleft()
+        coeff = pending.pop(word)
+        if coeff.is_zero():
+            continue
         steps += 1
         if steps > budget:
             raise StraighteningBudgetExceeded(
@@ -199,14 +222,19 @@ def _normalize(s, words, budget=None):
             mid_left = [(g1, e1 - 1)] if e1 > 1 else []
             mid_right = [(g2, e2 - 1)] if e2 > 1 else []
             for rcoeff, letters in _pair_rule(s.bits, g1, g2):
-                nw = (
+                nw = tuple(
                     pre
                     + mid_left
                     + [(g, 1) for g in letters]
                     + mid_right
                     + post
                 )
-                stack.append((tuple(nw), coeff * rcoeff))
+                cur = pending.get(nw)
+                if cur is None:
+                    pending[nw] = coeff * rcoeff
+                    queue.append(nw)
+                else:
+                    pending[nw] = cur + coeff * rcoeff
             forked = True
             break
         if dead or forked:
@@ -396,10 +424,7 @@ class AlgebraElement:
             return "0"
         parts = []
         for key, coeff in self.sorted_terms():
-            letters = "*".join(
-                "%s[%d,%d]%s" % (g[0], g[1], g[2], "" if e == 1 else "^%d" % e)
-                for g, e in key
-            )
+            letters = "*".join(_letter_text(g, e) for g, e in key)
             cs = "(%s)" % coeff
             parts.append(cs if not letters else cs + " " + letters)
         return " + ".join(parts)
@@ -415,6 +440,90 @@ def super_bracket(x, y, a=None):
     if sign < 0:
         c = -c
     return x * y - (y * x).scale(c)
+
+
+# ---------------------------------------------------------------------------
+# uniqueness of normal forms
+
+
+def _termination_key(letters):
+    """The first three coordinates of the termination order of a word."""
+    heights = [abs(i - j) for _, i, j in letters if i != j]
+    return sum(heights), len(heights), -sum(h * h for h in heights)
+
+
+def check_normal_form_uniqueness(s, max_failures=10):
+    """Prove that every element over `s` has exactly one normal form.
+
+    Bergman's diamond lemma (Adv. Math. 29, 1978): a reduction system with
+    a semigroup order that is compatible with it and has no infinite
+    descending chain gives every element a unique normal form iff all its
+    ambiguities resolve.
+
+    Order.  Give an off-diagonal letter t[i,j] or tb[i,j] the height
+    h = |i - j| and a diagonal letter height 0, count letters with their
+    exponents, and compare words by (sum of h, number of off-diagonal
+    letters, minus the sum of h^2), then by the number of out-of-order
+    letter pairs.  The first three are additive under concatenation and
+    bounded below for a fixed first one, and the fourth decides only
+    between words with the same letters, to which a context adds the same
+    pairs; so the order is a semigroup order without infinite descending
+    chains.  A relation rule (:func:`_pair_rule`) replaces g1 g2 by the
+    swapped word g2 g1, which has the same letters and one out-of-order
+    pair fewer, plus correction words that are smaller in the first three
+    coordinates; this function checks that last condition on every
+    out-of-order pair of `s`.  Diagonal moves are swaps, and the inverse
+    and odd-square rules delete letters.
+
+    Ambiguities.  Every rule rewrites two adjacent letters, so there are no
+    inclusion ambiguities and the overlaps are three-letter words x y z.
+    The overlap resolves iff (x y) z and x (y z) have the same normal form.
+    All L^3 triples of the L letters (off-diagonal letters at exponent 1,
+    diagonal letters at +1 and -1) are checked; a repeated odd letter
+    covers the odd-square rule, and a diagonal letter beside its inverse
+    the inverse rule.  `checked` counts the triples.
+    """
+    s = ParitySeq(s)
+    gens = pbw_generator_order(s)
+    failures = []
+    for g1, g2 in product(gens, repeat=2):
+        if g1[1] == g1[2] or g2[1] == g2[2] or _slot(g1) <= _slot(g2):
+            continue
+        limit = _termination_key((g1, g2))
+        for _, letters in _pair_rule(s.bits, g1, g2)[1:]:
+            if (
+                _termination_key(letters) >= limit
+                and len(failures) < max_failures
+            ):
+                failures.append(
+                    {
+                        "rule": [_letter_text(g1, 1), _letter_text(g2, 1)],
+                        "word": [_letter_text(g, 1) for g in letters],
+                    }
+                )
+    letters = [
+        (gen, e) for gen in gens for e in ((1, -1) if gen[1] == gen[2] else (1,))
+    ]
+    elements = [AlgebraElement.from_word(s, [x]) for x in letters]
+    L = len(letters)
+    products = {
+        (x, y): elements[x] * elements[y] for x, y in product(range(L), repeat=2)
+    }
+    for x, y, z in product(range(L), repeat=3):
+        res = products[x, y] * elements[z] - elements[x] * products[y, z]
+        if not res.is_zero() and len(failures) < max_failures:
+            failures.append(
+                {
+                    "triple": [_letter_text(*letters[i]) for i in (x, y, z)],
+                    "residual": str(res),
+                }
+            )
+    return {
+        "sequence": str(s),
+        "checked": L**3,
+        "failures": failures,
+        "pass": not failures,
+    }
 
 
 # ---------------------------------------------------------------------------

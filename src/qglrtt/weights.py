@@ -375,7 +375,7 @@ def kac_dimension(s, weight):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16384)
 def _word_product_terms(bits, left, right):
     """Normal form of the product of two normal-form words, as a term tuple."""
     s = ParitySeq(bits)

@@ -15,6 +15,7 @@ from qglrtt.rtt import (
     ElementParseError,
     check_defining_relations,
     check_dj_relations,
+    check_normal_form_uniqueness,
     dj_k,
     dj_x_minus,
     dj_x_plus,
@@ -79,6 +80,51 @@ def test_odd_generator_power_is_zero():
     assert parse_element(s, "t[2,1]^2") == gen(s, "t", 2, 1) * gen(s, "t", 2, 1)
     x = parse_element(s, "(q - q^-1) t[2,1] tb[1,2]^2 - tb[1,1]^-1")
     assert str(x) == "(-1) tb[1,1]^-1"
+
+
+POWER_WORD_K3 = (
+    (("tb", 1, 2), 3), (("tb", 3, 4), 3), (("t", 2, 1), 3), (("t", 4, 3), 3),
+)
+
+
+def test_worklist_merges_repeated_words():
+    # the k=3 power word regenerates the same words many times; expanding
+    # each pending word once takes 2,583 steps, and 34,111 without merging
+    s = ParitySeq("0011")
+    out = rtt._normalize(s, {POWER_WORD_K3: QONE}, budget=5000)
+    assert len(out) == 100
+    assert out == rtt._normalize(s, {POWER_WORD_K3: QONE})
+
+
+def test_small_budget_raises():
+    s = ParitySeq("0011")
+    with pytest.raises(rtt.StraighteningBudgetExceeded, match="exceeded 100 "):
+        rtt._normalize(s, {POWER_WORD_K3: QONE}, budget=100)
+
+
+def test_cancelled_words_are_not_expanded():
+    # tb[1,2] t[2,1] rewrites to c t[2,1] tb[1,2] plus two diagonal words;
+    # with -c t[2,1] tb[1,2] pending as well, the swapped word cancels and
+    # costs no step: 3 words are expanded, not 4
+    s = ParitySeq("01")
+    g1, g2 = ("tb", 1, 2), ("t", 2, 1)
+    (c, swapped), *corrections = rtt._pair_rule(s.bits, g1, g2)
+    assert swapped == (g2, g1) and len(corrections) == 2
+    words = {((g1, 1), (g2, 1)): QONE, ((g2, 1), (g1, 1)): -c}
+    expected = AlgebraElement.zero(s)
+    for cc, letters in corrections:
+        word = [(g, 1) for g in letters]
+        expected = expected + AlgebraElement.from_word(s, word, cc)
+    assert AlgebraElement(s, rtt._normalize(s, words, budget=3)) == expected
+    with pytest.raises(rtt.StraighteningBudgetExceeded):
+        rtt._normalize(s, words, budget=2)
+
+
+def test_memo_caches_are_bounded():
+    from qglrtt import weights
+
+    for fn in (rtt._pair_rule, weights._word_product_terms, rtt._rmatrix_tables):
+        assert fn.cache_parameters()["maxsize"] is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,22 +252,53 @@ def test_pair_rule_table_digest():
      "111", "0011", "0101", "0110", "1001"],
 )
 def test_associativity_all_letter_triples(bits):
-    # the ambiguities of the rewrite system are three-letter words, so
-    # (a b) c == a (b c) over all letters is Bergman's diamond condition
-    s = ParitySeq(bits)
-    letters = [
-        gen(s, kind, i, j, e)
-        for kind, i, j in pbw_generator_order(s)
-        for e in ((1, -1) if i == j else (1,))
-    ]
-    products = {
-        (x, y): letters[x] * letters[y]
-        for x, y in product(range(len(letters)), repeat=2)
+    # N(N-1) off-diagonal letters and N diagonal ones at exponent +1 and -1
+    N = len(bits)
+    assert check_normal_form_uniqueness(bits) == {
+        "sequence": bits,
+        "checked": (N * (N + 1)) ** 3,
+        "failures": [],
+        "pass": True,
     }
-    for x, y, z in product(range(len(letters)), repeat=3):
-        assert products[x, y] * letters[z] == letters[x] * products[y, z], (
-            x, y, z
-        )
+
+
+def test_normal_form_uniqueness_sees_a_rule_that_does_not_descend(monkeypatch):
+    # a correction word of greater height breaks the termination order
+    orig = rtt._pair_rule
+
+    def bad_rule(bits, g1, g2):
+        rule = orig(bits, g1, g2)
+        if (g1, g2) == (("t", 3, 2), ("t", 2, 1)):
+            rule += ((QONE, (("t", 3, 1), ("t", 3, 1))),)
+        return rule
+
+    monkeypatch.setattr(rtt, "_pair_rule", bad_rule)
+    report = check_normal_form_uniqueness("001")
+    assert not report["pass"]
+    assert report["failures"] == [
+        {"rule": ["t[3,2]", "t[2,1]"], "word": ["t[3,1]", "t[3,1]"]}
+    ]
+
+
+def test_normal_form_uniqueness_sees_an_unresolved_overlap(monkeypatch):
+    # a doubled correction term keeps the order but not confluence
+    orig = rtt._pair_rule
+
+    def bad_rule(bits, g1, g2):
+        rule = orig(bits, g1, g2)
+        if (g1, g2) == (("t", 3, 2), ("t", 2, 1)):
+            rule = rule[:1] + tuple((2 * c, w) for c, w in rule[1:])
+        return rule
+
+    monkeypatch.setattr(rtt, "_pair_rule", bad_rule)
+    report = check_normal_form_uniqueness("001", max_failures=1)
+    assert not report["pass"]
+    assert report["failures"] == [
+        {
+            "triple": ["tb[1,2]", "t[3,2]", "t[2,1]"],
+            "residual": "((-q^4 + 2*q^2 - 1)/q^2) t[3,2]*tb[1,1]*tb[2,2]^-1",
+        }
+    ]
 
 
 def _random_element(rng, s, nletters):
