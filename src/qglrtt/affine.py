@@ -313,7 +313,8 @@ def evaluation_rep(s, weight, a, level_cap=None, module=None):
 
     so the resulting :class:`AffineRep` has modes 0 and 1 only.  ``weight``
     (an :class:`~qglrtt.weights.HWeight` or its string form) must classify
-    as finite-dimensional; pass ``module`` to reuse an already-built
+    as finite-dimensional; it is built at depth cap ``level_cap`` (24 when
+    not given), or pass ``module`` to reuse an already-built
     :class:`~qglrtt.weights.ModuleRep`.
     """
     s = ParitySeq(s)
@@ -335,16 +336,12 @@ def evaluation_rep(s, weight, a, level_cap=None, module=None):
                 "weight is not finite-dimensional (witness: %s)"
                 % (verdict["witness"],)
             )
-        caps = [int(level_cap)] if level_cap else [8, 12, 16, 24]
-        rep = DID_NOT_STABILIZE
-        for cap in caps:
-            rep = build_irreducible(s, weight, cap)
-            if rep is not DID_NOT_STABILIZE:
-                break
+        cap = 24 if level_cap is None else int(level_cap)
+        rep = build_irreducible(s, weight, cap)
         if rep is DID_NOT_STABILIZE:
             raise AffineError(
                 "module construction did not stabilize up to level cap %d"
-                % caps[-1]
+                % cap
             )
     D = rep.denominator
     a_s = a.stretch(D)

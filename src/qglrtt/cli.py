@@ -189,7 +189,13 @@ def cmd_classify(args):
     return 0
 
 
+def _check_level_cap(cap):
+    if cap is not None and cap < 1:
+        raise UsageError("--level-cap must be >= 1, got %d" % cap)
+
+
 def cmd_module(args):
+    _check_level_cap(args.level_cap)
     s = _parse_sequence(args.s)
     weight = _parse_weight_arg(s, args.weights)
     verdict = classify(s, weight)
@@ -241,6 +247,7 @@ def _build_eval(s, wtext, atext, level_cap=None, module=None):
 
 
 def cmd_evalrep(args):
+    _check_level_cap(args.level_cap)
     s = _parse_sequence(args.s)
     try:
         rep = _build_eval(s, args.weights, args.a, level_cap=args.level_cap)
@@ -530,7 +537,7 @@ def _build_parser():
     )
     p.add_argument(
         "--level-cap", type=int, default=None,
-        help="depth cap override for the underlying module",
+        help="depth cap for the underlying module (default 24)",
     )
     add_out(p)
     p.set_defaults(func=cmd_evalrep)

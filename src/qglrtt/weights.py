@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 
 from .linalg import RowSpace, kernel_basis
@@ -423,66 +423,29 @@ def _level(key):
     return sum(e * (g[1] - g[2]) for g, e in key)
 
 
-def _lowering_monomials(s, gens, cap):
+def _lowering_monomials(s, gens, level):
+    """PBW lowering words of exactly the given level, in no fixed order."""
     out = []
     word = []
 
     def rec(idx, budget):
-        if idx == len(gens):
+        if budget == 0:
             out.append(tuple(word))
+            return
+        if idx == len(gens):
             return
         g = gens[idx]
         ht = g[1] - g[2]
         emax = budget // ht
         if gen_parity(s, g):
             emax = min(emax, 1)
-        for e in range(emax + 1):
-            if e:
-                word.append((g, e))
-                rec(idx + 1, budget - e * ht)
-                word.pop()
-            else:
-                rec(idx + 1, budget)
+        for e in range(1, emax + 1):
+            word.append((g, e))
+            rec(idx + 1, budget - e * ht)
+            word.pop()
+        rec(idx + 1, budget)
 
-    rec(0, cap)
-    return out
-
-
-def _raising_monomials(s, gens, target):
-    """PBW raising words whose total weight equals the target vector."""
-    out = []
-    word = []
-    rem = list(target)
-
-    def height(v):
-        return -sum((k + 1) * x for k, x in enumerate(v))
-
-    def rec(idx):
-        budget = height(rem)
-        if budget < 0:
-            return
-        if idx == len(gens):
-            if budget == 0 and all(x == 0 for x in rem):
-                out.append(tuple(word))
-            return
-        g = gens[idx]
-        a, b = g[1], g[2]
-        emax = budget // (b - a)
-        if gen_parity(s, g):
-            emax = min(emax, 1)
-        for e in range(emax + 1):
-            if e:
-                rem[a - 1] -= e
-                rem[b - 1] += e
-                word.append((g, e))
-                rec(idx + 1)
-                word.pop()
-                rem[a - 1] += e
-                rem[b - 1] -= e
-            else:
-                rec(idx + 1)
-
-    rec(0)
+    rec(0, level)
     return out
 
 
@@ -570,12 +533,33 @@ class ModuleRep:
 def build_irreducible(s, weight, level_cap):
     """Matrices of the irreducible quotient of the highest-weight module.
 
-    The truncated module with lowering-monomial basis up to weight depth
-    ``level_cap`` is quotiented, weight space by weight space, by the kernel
-    of all "coefficient of the maximal vector after applying a raising
-    monomial" functionals.  The result is returned when enough empty depths
-    certify that the quotient is complete; otherwise the string sentinel
-    ``"did not stabilize"``.
+    The Verma module has a basis of lowering monomials times the maximal
+    vector; a monomial's depth (level) is the sum of its letters' heights,
+    and all monomials of one weight have the same depth.  The quotient by
+    the maximal submodule is built one depth at a time, in increasing
+    order.  At depth 0 it is the line of the maximal vector.  At a weight
+    below it, a vector lies in the maximal submodule exactly when every
+    simple raising letter ``tb[i,i+1]`` maps it into the maximal submodule
+    one depth up, so the radical there is the kernel of those images,
+    reduced into the quotients already built.
+
+    The simple letters are enough: for ``i+2 <= j`` the normal form of
+    ``tb[i+1,j] tb[i,i+1]`` is ``e tb[i,i+1] tb[i+1,j] + c tb[i+1,i+1]
+    tb[i,j]`` with ``e = 1 or -1`` and ``c = +-(q - q^-1) != 0``, so by
+    induction on ``j - i`` every raising letter lies in the algebra
+    generated by the simple letters and the diagonal ones, which act on a
+    weight space by a scalar.  The radical is therefore the kernel of all
+    "coefficient of the maximal vector after a raising monomial"
+    functionals, and it is kept in fully reduced echelon form, so the
+    basis and the matrices do not depend on how it was found.
+
+    A simple letter lowers the depth by exactly one, so a depth whose
+    quotient is zero is followed only by such depths, and the build stops
+    at the first one, or at depth ``level_cap``.  A raising letter moves up
+    at most ``window`` depths; the module is certified complete only when
+    ``top + window <= level_cap``, with ``top`` its deepest nonzero depth,
+    and otherwise the string sentinel ``"did not stabilize"`` is returned.
+    The work of a certified build follows the module, not the cap.
     """
     s = _check_weight(s, weight)
     if level_cap < 1:
@@ -583,97 +567,85 @@ def build_irreducible(s, weight, level_cap):
     D = weight.denominator()
     N = s.N
     bits = str(s)
-    order = pbw_generator_order(s)
-    lowering = [g for g in order if g[0] == "t" and g[1] > g[2]]
-    raising = [g for g in order if g[0] == "tb" and g[1] < g[2]]
+    lowering = [
+        g for g in pbw_generator_order(s) if g[0] == "t" and g[1] > g[2]
+    ]
+    window = max([2] + [g[1] - g[2] for g in lowering])
 
-    spaces = {}
-    for key in _lowering_monomials(s, lowering, level_cap):
-        spaces.setdefault(_offset(key, N), []).append(key)
-    for keys in spaces.values():
-        keys.sort(key=lambda k: (_level(k), k))
+    eigenvalue = lru_cache(maxsize=None)(partial(_diag_eigenvalue, weight, D))
 
-    # Verma action of each raising letter on monomial vectors, memoized per
-    # (letter, monomial); raising strictly lowers the depth, so images stay
-    # inside the enumerated monomial set.
-    letter_images = {}
+    @lru_cache(maxsize=None)
+    def letter_image(gkey, key):
+        """Verma action of a normal-form letter on a lowering monomial."""
+        img = {}
+        for tkey, tc in _word_product_terms(bits, gkey, key):
+            low, diag, rais = _split_normal_key(tkey)
+            if rais:
+                continue
+            val = tc.stretch(D)
+            for gg, ee in diag:
+                val = val * eigenvalue(gg, ee)
+            cur = img.get(low)
+            nv = val if cur is None else cur + val
+            if nv.is_zero():
+                img.pop(low, None)
+            else:
+                img[low] = nv
+        return img
 
-    def act_letter(g, vec):
-        out = {}
-        for key, c in vec.items():
-            img = letter_images.get((g, key))
-            if img is None:
-                img = {}
-                for tkey, tc in _word_product_terms(bits, ((g, 1),), key):
-                    low, diag, rais = _split_normal_key(tkey)
-                    if rais:
-                        continue
-                    val = tc.stretch(D)
-                    for gg, ee in diag:
-                        val = val * _diag_eigenvalue(weight, D, gg, ee)
-                    cur = img.get(low)
-                    nv = val if cur is None else cur + val
-                    if nv.is_zero():
-                        img.pop(low, None)
-                    else:
-                        img[low] = nv
-                letter_images[(g, key)] = img
-            for k2, v2 in img.items():
-                w2 = c * v2
-                if w2.is_zero():
-                    continue
-                cur = out.get(k2)
-                nv = w2 if cur is None else cur + w2
-                if nv.is_zero():
-                    out.pop(k2, None)
-                else:
-                    out[k2] = nv
-        return out
-
-    def zeta_functional(rword, key):
-        """Coefficient of the maximal vector in (raising word) (monomial) zeta."""
-        vec = {key: QScalar.one()}
-        for g, e in reversed(rword):
-            for _ in range(e):
-                vec = act_letter(g, vec)
-                if not vec:
-                    return QScalar.zero()
-        return vec.get((), QScalar.zero())
-
+    # weight -> (depth, monomials, their index, radical, quotient columns)
     records = {}
-    for nu, keys in spaces.items():
-        gap = tuple(-x for x in nu)
-        rows = []
-        for rword in _raising_monomials(s, raising, gap):
-            row = {}
-            for col, key in enumerate(keys):
-                val = zeta_functional(rword, key)
-                if not val.is_zero():
-                    row[col] = val
-            if row:
-                rows.append(row)
+
+    def add_quotient(nu, depth, keys, rows):
         sub = RowSpace()
         for vec in kernel_basis(rows, len(keys)):
             sub.add(vec)
         reps = [c for c in range(len(keys)) if c not in sub.rows]
-        records[nu] = (keys, {k: c for c, k in enumerate(keys)}, sub, reps)
+        index = {k: c for c, k in enumerate(keys)}
+        records[nu] = (depth, keys, index, sub, reps)
+        return reps
 
-    level_count = {}
-    for nu, (keys, _, _, reps) in records.items():
-        if reps:
-            lvl = _level(keys[reps[0]])
-            level_count[lvl] = level_count.get(lvl, 0) + len(reps)
-    top = max(level_count)
-    if lowering:
-        window = max(2, max(g[1] - g[2] for g in lowering))
-        if top + window > level_cap:
-            return DID_NOT_STABILIZE
+    def target(nu, gkey):
+        """Record of the weight gkey maps nu to, if its quotient is nonzero.
 
-    ordered = sorted(
-        records.items(), key=lambda kv: (_level(kv[1][0][0]), kv[0])
-    )
+        A weight deeper than the last depth built has no record: it lies
+        in the radical.
+        """
+        shift = _offset(gkey, N)
+        rec = records.get(tuple(x + y for x, y in zip(nu, shift)))
+        return rec if rec is not None and rec[4] else None
+
+    add_quotient((0,) * N, 0, [()], [{0: QScalar.one()}])
+    simple = [((("tb", i, i + 1), 1),) for i in range(1, N)]
+    depth = top = 0
+    while lowering and depth < level_cap:
+        depth += 1
+        spaces = {}
+        for key in _lowering_monomials(s, lowering, depth):
+            spaces.setdefault(_offset(key, N), []).append(key)
+        for nu, keys in spaces.items():
+            keys.sort()
+            rows = {}
+            for gkey in simple:
+                rec = target(nu, gkey)
+                if rec is None:
+                    continue
+                _, _, index2, sub2, _ = rec
+                for col, key in enumerate(keys):
+                    img = letter_image(gkey, key)
+                    vec = {index2[k]: v for k, v in img.items()}
+                    for rcol, val in sub2.reduce(vec).items():
+                        rows.setdefault((gkey, rcol), {})[col] = val
+            if add_quotient(nu, depth, keys, list(rows.values())):
+                top = depth
+        if top < depth:
+            break
+    if lowering and top + window > level_cap:
+        return DID_NOT_STABILIZE
+
+    ordered = sorted(records.items(), key=lambda kv: (kv[1][0], kv[0]))
     basis = []
-    for nu, (keys, _, _, reps) in ordered:
+    for nu, (_, keys, _, _, reps) in ordered:
         for col in reps:
             basis.append((nu, keys[col]))
     gindex = {key: g for g, (_, key) in enumerate(basis)}
@@ -696,25 +668,12 @@ def build_irreducible(s, weight, level_cap):
         (gkey, gcoeff), = gelem.terms.items()
         mat = Mat(space)
         for col, (nu, key) in enumerate(basis):
-            acc = {}
-            for tkey, c in _word_product_terms(bits, gkey, key):
-                low, diag, rais = _split_normal_key(tkey)
-                if rais:
-                    continue
-                val = (gcoeff * c).stretch(D)
-                for gg, ee in diag:
-                    val = val * _diag_eigenvalue(weight, D, gg, ee)
-                cur = acc.get(low)
-                nv = val if cur is None else cur + val
-                if nv.is_zero():
-                    acc.pop(low, None)
-                else:
-                    acc[low] = nv
-            if not acc:
+            rec = target(nu, gkey)
+            if rec is None:
                 continue
-            nu_t = _offset(next(iter(acc)), N)
-            keys2, index2, sub2, _ = records[nu_t]
-            vec = {index2[k]: v for k, v in acc.items()}
+            _, keys2, index2, sub2, _ = rec
+            img = letter_image(gkey, key)
+            vec = {index2[k]: gcoeff * v for k, v in img.items()}
             for lcol, val in sub2.reduce(vec).items():
                 mat.add_to(gindex[keys2[lcol]], col, val)
         matrices[gen] = mat

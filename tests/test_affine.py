@@ -112,6 +112,17 @@ class TestEvaluationRep:
             ("001", "+q^2,+q^1,+q^1"),
             ("010", "+q^1,+q^1,+q^0"),
             ("100", "+q^1,+q^1,+q^0"),
+            # the check reads the R-matrix, not the straightening engine
+            # that builds the module, so it is an independent oracle for
+            # the builder: rank (1|1), a negative sign, typical gap 2 and
+            # gap 4, atypical, over q^(1/2), and rank (2|2)
+            ("01", "+q^-3,+q^4"),
+            ("00", "+q^1,-q^0"),
+            ("001", "+q^2,+q^0,+q^-3/2"),
+            ("110", "+q^5/2,+q^-3/2,+q^-3/2"),
+            ("001", "+q^1,+q^0,+q^-2"),
+            ("010", "+q^3/2,+q^-1/2,+q^1/2"),
+            ("0011", "+q^1,+q^0,+q^0,+q^0"),
         ],
     )
     def test_relations_hold_exactly(self, s, wtext):

@@ -217,6 +217,17 @@ class TestModule:
         assert code == 1
         assert data["error"] == "did not stabilize"
 
+    @pytest.mark.parametrize("command", ["module", "evalrep"])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_is_usage_error(self, capsys, command, cap):
+        code, out, err = run(
+            capsys, command, "--s", "01", "--weights", "+q^1,+q^1",
+            "--level-cap", cap,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--level-cap must be >= 1, got %s" % cap in err
+
 
 class TestEvalrep:
     def test_dump_relations_series(self, capsys):
@@ -500,6 +511,16 @@ class TestGoldenOutput:
                 "4629cf0fcf6c3c6f2074d8185d10be745d39647588279ff06ba0acdd37537e0f",
             ),
             (
+                ["module", "--s", "0000", "--weights", "+q^0,+q^0,+q^0,+q^0"],
+                "a037673976d7899def35810981ef1dd87d74025616254bdb759e4f4b24ebe6b6",
+            ),
+            (
+                # a deep cap bounds the build; it is not the work done
+                ["module", "--s", "0000", "--weights", "+q^0,+q^0,+q^0,+q^0",
+                 "--level-cap", "40"],
+                "a037673976d7899def35810981ef1dd87d74025616254bdb759e4f4b24ebe6b6",
+            ),
+            (
                 ["normalize", "--s", "0011", "--element",
                  "tb[1,2]^3 tb[3,4]^3 t[2,1]^3 t[4,3]^3"],
                 "067f7358d3df0fdb7fe5bc3a434bd1086d3d1919699dfce9ed3214dfbb101483",
@@ -525,6 +546,7 @@ class TestGoldenOutput:
         ],
         ids=["evalrep", "tensor-verify", "braid-verify", "evalrep-001",
              "module-001-verify", "module-001-half-verify", "module-0011",
+             "module-0000-trivial", "module-0000-trivial-cap40",
              "normalize-0011", "normalize-0011-k4", "normalize-0001",
              "braid-verify-0101", "ybe-2-1"],
     )

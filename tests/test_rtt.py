@@ -214,6 +214,27 @@ def test_relation_check_is_independent_of_the_engine(monkeypatch):
     }
 
 
+def test_simple_raising_letters_generate_the_raising_letters():
+    # tb[i+1,j] tb[i,i+1] = +-tb[i,i+1] tb[i+1,j] +- (q - q^-1) tb[i+1,i+1]
+    # tb[i,j], so every raising letter lies in the algebra generated by the
+    # simple ones and the diagonal ones; the module builder relies on it
+    qd = QScalar.q_power(1) - QScalar.q_power(-1)
+    walked = 0
+    for n in (3, 4, 5):
+        for bits in product("01", repeat=n):
+            s = ParitySeq("".join(bits))
+            for i in range(1, n - 1):
+                for j in range(i + 2, n + 1):
+                    prod = gen(s, "tb", i + 1, j) * gen(s, "tb", i, i + 1)
+                    simple = ((("tb", i, i + 1), 1), (("tb", i + 1, j), 1))
+                    corner = ((("tb", i + 1, i + 1), 1), (("tb", i, j), 1))
+                    assert set(prod.terms) == {simple, corner}, (s, i, j)
+                    assert prod.terms[simple] in (QONE, -QONE), (s, i, j)
+                    assert prod.terms[corner] in (qd, -qd), (s, i, j)
+                    walked += 1
+    assert walked == 8 * 1 + 16 * 3 + 32 * 6
+
+
 def test_pair_rule_table_digest():
     # every out-of-order pair on every sequence of length 2-4, pinned to the
     # table that was written out by hand before the rules were derived

@@ -355,6 +355,22 @@ def test_build_too_small_cap_is_sentinel():
     )
 
 
+@pytest.mark.parametrize("cap", range(1, 9))
+@pytest.mark.parametrize(
+    "bits, exps, first_cap, dim",
+    [("001", (3, 0, 1), 8, 16), ("0011", (1, 0, 0, 0), 6, 4)],
+)
+def test_verdict_and_dimension_at_each_cap(bits, exps, first_cap, dim, cap):
+    # taken from the builder that enumerated every monomial up to the cap:
+    # the sentinel below the module's depth plus its window, then one module
+    rep = build_irreducible(bits, HWeight(bits, exps), cap)
+    if cap < first_cap:
+        assert rep == DID_NOT_STABILIZE
+    else:
+        assert rep != DID_NOT_STABILIZE
+        assert rep.dim == dim
+
+
 def test_json_shape():
     rep = build_irreducible("001", HWeight("001", (1, 0, 0)), 10)
     js = rep.to_json()
