@@ -325,6 +325,8 @@ def evaluation_rep(s, weight, a, level_cap=None, module=None):
         raise AffineError("evaluation parameter must be nonzero")
     if module is not None:
         rep = module
+        if rep == DID_NOT_STABILIZE:
+            raise AffineError("supplied module construction did not stabilize")
         if str(rep.s) != str(s) or rep.weight != weight:
             raise AffineError(
                 "supplied module does not match the requested weight"

@@ -27,7 +27,12 @@ from qglrtt.affine import (
 )
 from qglrtt.scalars import QScalar, qscalar_parse
 from qglrtt.tensor import Mat, Space
-from qglrtt.weights import WeightError, build_irreducible, parse_weight
+from qglrtt.weights import (
+    DID_NOT_STABILIZE,
+    WeightError,
+    build_irreducible,
+    parse_weight,
+)
 
 ONE = QScalar.one()
 ZERO = QScalar.zero()
@@ -158,6 +163,14 @@ class TestEvaluationRep:
         mod = build_irreducible("01", w1, 6)
         with pytest.raises(AffineError):
             evaluation_rep("01", w2, ONE, module=mod)
+
+    def test_unstabilized_module_rejected(self):
+        # the sentinel of a build that did not stabilize is not a module
+        w = parse_weight("0101", "+q^1,+q^0,+q^0,+q^1")
+        mod = build_irreducible("0101", w, 24)
+        assert mod == DID_NOT_STABILIZE
+        with pytest.raises(AffineError, match="did not stabilize"):
+            evaluation_rep("0101", w, ONE, module=mod)
 
 
 # ---------------------------------------------------------------------------

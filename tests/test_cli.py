@@ -540,6 +540,11 @@ class TestGoldenOutput:
                 "23b9221996fe6d8b0b80428842474fa174203405fa0771d62355d3c524bfc7ee",
             ),
             (
+                # reaches i = 3, where both branch families are nonempty
+                ["braid-verify", "--s", "00101"],
+                "0b233d77b5a01060433a92885f21824997722ba795f1f1476b956842e45dcd89",
+            ),
+            (
                 ["ybe", "--m", "2", "--n", "1"],
                 "8adad0c16cd567fab990a1c34a3cd1acb3e0ee98550d17ea2faa73d0485fa490",
             ),
@@ -548,7 +553,7 @@ class TestGoldenOutput:
              "module-001-verify", "module-001-half-verify", "module-0011",
              "module-0000-trivial", "module-0000-trivial-cap40",
              "normalize-0011", "normalize-0011-k4", "normalize-0001",
-             "braid-verify-0101", "ybe-2-1"],
+             "braid-verify-0101", "braid-verify-00101", "ybe-2-1"],
     )
     def test_stdout_digest(self, capsys, tmp_path, argv, digest):
         path = write_factors(tmp_path, self.README_FACTORS)
