@@ -18,6 +18,7 @@ All matrix entries live in the rational-function field with ``q`` replaced by
 coefficients, dilations) are stretched into that gauge on entry.
 """
 
+from fractions import Fraction
 from math import lcm
 
 from .linalg import RowSpace, kernel_basis, vec_add
@@ -47,6 +48,7 @@ __all__ = [
     "cyclic_span",
     "evaluation_rep",
     "highest_weight_series",
+    "joint_kernel",
     "tensor",
     "twist",
     "verify_affine_relations",
@@ -72,13 +74,8 @@ def _coerce_scalar(x):
         return x
     if isinstance(x, int):
         return QScalar.from_int(x)
-    try:
-        from fractions import Fraction
-
-        if isinstance(x, Fraction):
-            return QScalar.from_fraction(x)
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(x, Fraction):
+        return QScalar.from_fraction(x)
     raise AffineError("expected a scalar, got %r" % (x,))
 
 
@@ -352,28 +349,10 @@ def evaluation_rep(s, weight, a, level_cap=None, module=None):
     modes = {"t": {}, "tb": {}}
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            tser = {}
-            if i >= j:
-                m = rep.op("t", i, j)
-                if not m.is_zero():
-                    tser[0] = m
-            if i <= j:
-                m = rep.op("tb", i, j)
-                if not m.is_zero():
-                    tser[1] = m.scale(-a_inv)
-            if tser:
-                modes["t"][(i, j)] = tser
-            bser = {}
-            if i <= j:
-                m = rep.op("tb", i, j)
-                if not m.is_zero():
-                    bser[0] = m
-            if i >= j:
-                m = rep.op("t", i, j)
-                if not m.is_zero():
-                    bser[1] = m.scale(-a_s)
-            if bser:
-                modes["tb"][(i, j)] = bser
+            # op is zero off the triangular support; AffineRep drops zeros
+            t, tb = rep.op("t", i, j), rep.op("tb", i, j)
+            modes["t"][(i, j)] = {0: t, 1: tb.scale(-a_inv)}
+            modes["tb"][(i, j)] = {0: tb, 1: t.scale(-a_s)}
     mi = rep.maximal_index
     mu = [rep.op("tb", i, i)[mi, mi] for i in range(1, N + 1)]
     provenance = {
@@ -452,9 +431,7 @@ def tensor(rep1, rep2):
                             acc[r1 + r2] = (
                                 term if cur is None else cur + term
                             )
-                keep = {r: m for r, m in acc.items() if not m.is_zero()}
-                if keep:
-                    modes[kind][(i, j)] = keep
+                modes[kind][(i, j)] = acc
     labels = None
     if rep1.labels is not None and rep2.labels is not None:
         labels = [
@@ -731,6 +708,18 @@ class HWSeries:
         }
 
 
+def joint_kernel(rep, raising):
+    """Kernel basis of all modes with i < j (``raising``) or with i > j."""
+    rows = []
+    for _kind, i, j, _r, m in rep.all_mode_matrices():
+        if (i < j) if raising else (i > j):
+            per_row = {}
+            for (rr, cc) in m.nonzero_cells():
+                per_row.setdefault(rr, {})[cc] = m[rr, cc]
+            rows.extend(per_row.values())
+    return kernel_basis(rows, rep.dim)
+
+
 def highest_weight_series(rep):
     """Extract the highest-weight series of a mode-matrix representation.
 
@@ -740,17 +729,8 @@ def highest_weight_series(rep):
     echelon order -- reporting the singular-space dimension and the number
     of eigen-lines found -- or :data:`NO_MAXIMAL_VECTOR` when none exists.
     """
-    dim = rep.dim
     N = rep.s.N
-    rows = []
-    for kind, i, j, _r, m in rep.all_mode_matrices():
-        if i >= j:
-            continue
-        per_row = {}
-        for (rr, cc) in m.nonzero_cells():
-            per_row.setdefault(rr, {})[cc] = m[rr, cc]
-        rows.extend(per_row.values())
-    kern = kernel_basis(rows, dim)
+    kern = joint_kernel(rep, raising=True)
     if not kern:
         return NO_MAXIMAL_VECTOR
     diag = []
@@ -1295,9 +1275,7 @@ def twist(rep, f=None, g=None, dilation=None):
             if dil is not None:
                 base = dil.inverse() if kind == "t" else dil
                 out = {r: m.scale(base ** r) for r, m in out.items()}
-            out = {r: m for r, m in out.items() if not m.is_zero()}
-            if out:
-                modes[kind][(i, j)] = out
+            modes[kind][(i, j)] = out
     provenance = {
         "kind": "twist",
         "base": rep.provenance,

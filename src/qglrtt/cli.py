@@ -21,10 +21,10 @@ from .affine import (
     cyclic_span,
     evaluation_rep,
     highest_weight_series,
+    joint_kernel,
     tensor,
     verify_affine_relations,
 )
-from .linalg import kernel_basis
 from .parity import ParitySeq, enumerate_sequences
 from .reflections import verify_odd_reflection
 from .rtt import ElementParseError, StraighteningBudgetExceeded, parse_element
@@ -238,12 +238,12 @@ def cmd_module(args):
     return code
 
 
-def _build_eval(s, wtext, atext, level_cap=None, module=None):
+def _build_eval(s, wtext, atext, level_cap=None):
     weight = _parse_weight_arg(s, wtext)
     a = _parse_scalar_arg(atext)
     if a.is_zero():
         raise UsageError("evaluation parameter must be nonzero")
-    return evaluation_rep(s, weight, a, level_cap=level_cap, module=module)
+    return evaluation_rep(s, weight, a, level_cap=level_cap)
 
 
 def cmd_evalrep(args):
@@ -281,14 +281,7 @@ def cmd_evalrep(args):
 
 def _minimal_vector(rep):
     """A lowest-weight vector: joint kernel of every mode with i > j."""
-    rows = []
-    for kind, i, j, r, m in rep.all_mode_matrices():
-        if i > j:
-            per_row = {}
-            for (rr, cc) in m.nonzero_cells():
-                per_row.setdefault(rr, {})[cc] = m[rr, cc]
-            rows.extend(per_row.values())
-    basis = kernel_basis(rows, rep.dim)
+    basis = joint_kernel(rep, raising=False)
     if len(basis) != 1:
         return None
     return {idx: c for idx, c in basis[0].items() if not c.is_zero()}
@@ -576,6 +569,9 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # argparse on Python 3.11 parses the value of "--opt=--" as [], and no
+    # option here takes a list
+    vars(args).update({k: "--" for k, v in vars(args).items() if v == []})
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 2

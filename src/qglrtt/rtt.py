@@ -21,12 +21,13 @@ step closer to normal form; the correction words carry the other letters.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from functools import lru_cache, partial
 from itertools import product
 
 from .parity import ParitySeq
-from .scalars import QScalar, QZERO, QONE, qscalar_parse
+from .scalars import QONE, QZERO, QScalar, _Parser, _tokenize
 from .tensor import spectral_rmatrix
 
 
@@ -848,128 +849,86 @@ class ElementParseError(ValueError):
     pass
 
 
-def _last_nonspace(chars):
-    for ch in reversed(chars):
-        if not ch.isspace():
-            return ch
-    return ""
+# a letter and its exponent are one token, so "t[2,1]^ -1" stays rejected
+_LETTER_RE = re.compile(r"(tb|t)\[\s*(\d+)\s*,\s*(\d+)\s*\](?:\^(-?\d+))?")
+
+
+def _element_tokens(s, text):
+    """Scalar tokens, with each letter as one ``((kind, i, j), e)`` token."""
+    toks, pos = [], 0
+    for m in _LETTER_RE.finditer(text):
+        kind, i, j = m.group(1), int(m.group(2)), int(m.group(3))
+        e = int(m.group(4) or 1)
+        if kind == "t" and i < j:
+            raise ElementParseError("t[%d,%d] is not a generator" % (i, j))
+        if kind == "tb" and i > j:
+            raise ElementParseError("tb[%d,%d] is not a generator" % (i, j))
+        if e < 0 and i != j:
+            raise ElementParseError(
+                "only diagonal generators admit negative exponents"
+            )
+        if not (1 <= i <= s.N and 1 <= j <= s.N):
+            raise ElementParseError("index out of range in %s" % m.group(0))
+        toks += _tokenize(text[pos : m.start()])
+        toks.append(((kind, i, j), e))
+        pos = m.end()
+    return toks + _tokenize(text[pos:])
+
+
+class _ElementParser(_Parser):
+    """Signed terms; a term is letters and coefficient atoms, '*' optional."""
+
+    def parse_terms(self):
+        terms = []
+        while True:
+            sign = 1
+            while self.peek() in ("+", "-"):
+                if self.take() == "-":
+                    sign = -sign
+            if self.peek() is None:
+                return terms
+            letters, coeff = self.parse_product()
+            terms.append((letters, coeff if sign == 1 else -coeff))
+
+    def parse_product(self):
+        letters, coeff = [], None
+        while self.peek() not in ("+", "-", None):
+            t = self.peek()
+            if t == "*":
+                self.take()
+            elif isinstance(t, tuple):
+                letters.append(self.take())
+            elif t == "(" or isinstance(t, int):
+                atom = self.parse_atom()
+                if coeff is not None:
+                    self.check_binary("*", coeff, atom)
+                    atom = coeff * atom
+                coeff = atom
+            else:
+                raise ElementParseError(
+                    "unexpected token %r in element term" % (t,)
+                )
+        return letters, QONE if coeff is None else coeff
 
 
 def parse_element(s, text):
     """Parse products like "(q - q^-1) t[2,1] tb[1,2]^2 - tb[1,1]^-1".
 
-    Terms are separated by top-level + and -; each term is an optional
-    parenthesised coefficient followed by generator letters, with optional
-    '*' separators and integer exponents after '^'.
+    Terms are separated by + and -; each term is a product of letters
+    ``t[i,j]`` / ``tb[i,j]``, each with an optional integer exponent
+    ``^e``, and coefficient atoms: integers and parenthesised scalar
+    expressions (see :func:`~qglrtt.scalars.qscalar_parse`, whose caps bound
+    the product of a term's atoms).  '*' between factors is optional.  The
+    whole text is parsed before any term is straightened.
     """
     s = ParitySeq(s)
-    text = text.strip()
-    if not text:
-        raise ElementParseError("empty element expression")
-
-    # split into signed terms at depth zero
-    terms = []
-    depth = 0
-    cur = []
-    sign = 1
-    pending_sign = 1
-    for ch in text:
-        if ch == "(":
-            depth += 1
-            cur.append(ch)
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ElementParseError("unbalanced parentheses")
-            cur.append(ch)
-        elif ch in "+-" and depth == 0 and _last_nonspace(cur) != "^":
-            chunk = "".join(cur).strip()
-            if chunk:
-                terms.append((sign, chunk))
-                sign = 1 if ch == "+" else -1
-                cur = []
-            else:
-                # leading or repeated sign
-                sign = sign * (1 if ch == "+" else -1)
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ElementParseError("unbalanced parentheses")
-    chunk = "".join(cur).strip()
-    if chunk:
-        terms.append((sign, chunk))
+    try:
+        terms = _ElementParser(_element_tokens(s, text)).parse_terms()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ElementParseError(str(exc)) from None
     if not terms:
         raise ElementParseError("no terms found")
-
     total = AlgebraElement.zero(s)
-    for sgn, chunk in terms:
-        total = total + _parse_term(s, chunk, sgn)
+    for letters, coeff in terms:
+        total = total + AlgebraElement.from_word(s, letters, coeff)
     return total
-
-
-def _parse_term(s, chunk, sgn):
-    import re
-
-    pos = 0
-    # the coefficient factors are multiplied by one qscalar_parse call, so
-    # the parser's caps bound their product before it is computed
-    factors = []
-    letters = []
-    n = len(chunk)
-    letter_re = re.compile(r"(tb|t)\[\s*(\d+)\s*,\s*(\d+)\s*\](\^(-?\d+))?")
-    while pos < n:
-        ch = chunk[pos]
-        if ch.isspace() or ch == "*":
-            pos += 1
-            continue
-        if ch == "(":
-            depth = 1
-            j = pos + 1
-            while j < n and depth:
-                if chunk[j] == "(":
-                    depth += 1
-                elif chunk[j] == ")":
-                    depth -= 1
-                j += 1
-            if depth:
-                raise ElementParseError("unbalanced parentheses in coefficient")
-            factors.append(chunk[pos:j])
-            pos = j
-            continue
-        m = letter_re.match(chunk, pos)
-        if m:
-            kind = m.group(1)
-            i, j = int(m.group(2)), int(m.group(3))
-            e = int(m.group(5)) if m.group(5) else 1
-            if kind == "t" and i < j:
-                raise ElementParseError("t[%d,%d] is not a generator" % (i, j))
-            if kind == "tb" and i > j:
-                raise ElementParseError("tb[%d,%d] is not a generator" % (i, j))
-            if e < 0 and i != j:
-                raise ElementParseError(
-                    "only diagonal generators admit negative exponents"
-                )
-            if not (1 <= i <= s.N and 1 <= j <= s.N):
-                raise ElementParseError("index out of range in %s" % m.group(0))
-            letters.append(((kind, i, j), e))
-            pos = m.end()
-            continue
-        # bare integer coefficient
-        m2 = re.match(r"\d+", chunk[pos:])
-        if m2:
-            factors.append(m2.group(0))
-            pos += m2.end()
-            continue
-        raise ElementParseError(
-            "unexpected input %r in element term" % chunk[pos : pos + 8]
-        )
-    coeff = QONE
-    if factors:
-        text = "*".join(factors)
-        try:
-            coeff = qscalar_parse(text)
-        except ValueError as exc:
-            raise ElementParseError(
-                "bad coefficient %r: %s" % (text, exc)
-            ) from exc
-    return AlgebraElement.from_word(s, letters, coeff if sgn == 1 else -coeff)

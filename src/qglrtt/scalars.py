@@ -595,9 +595,9 @@ def _tokenize(text):
             toks.append(ch)
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > _Parser.MAX_DIGITS:
                 raise ScalarParseError(

@@ -38,7 +38,7 @@ from .parity import (
     sort_to_standard,
 )
 from .rtt import AlgebraElement, gen_parity, pbw_generator_order
-from .scalars import QScalar
+from .scalars import QScalar, _Parser
 from .tensor import Mat, Space
 
 __all__ = [
@@ -95,6 +95,12 @@ class HWeight:
                 raise WeightError("signs must be +1 or -1")
         self.exponents = exps
         self.signs = sgns
+        # every scalar of the module is stretched by the denominator
+        if self.denominator() > _Parser.MAX_EXPONENT:
+            raise WeightError(
+                "exponent denominator %d exceeds the cap of %d"
+                % (self.denominator(), _Parser.MAX_EXPONENT)
+            )
 
     def denominator(self):
         """Least common denominator of the exponents (always >= 1)."""

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, JSON contracts."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qglrtt.cli import main
 
@@ -228,6 +231,16 @@ class TestModule:
         assert out == ""
         assert "--level-cap must be >= 1, got %s" % cap in err
 
+    def test_weight_denominator_past_the_cap_is_usage_error(self, capsys):
+        # every scalar would be stretched by the denominator 100000
+        code, out, err = run(
+            capsys, "module", "--s", "001", "--weights",
+            "+q^100001/100000,+q^-99999/100000,+q^1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exponent denominator 100000 exceeds the cap of 64" in err
+
 
 class TestEvalrep:
     def test_dump_relations_series(self, capsys):
@@ -277,6 +290,71 @@ class TestEvalrep:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_non_decimal_digit_is_usage_error(self, capsys):
+        # '²' is a digit to str.isdigit but not an integer literal
+        code, out, err = run(
+            capsys, "evalrep", "--s", "01", "--weights", "+q^1,+q^1",
+            "--a", "1²",
+        )
+        assert code == 2
+        assert out == ""
+        assert "unexpected character '²'" in err
+
+
+class TestParserFuzz:
+    # short texts from a bounded alphabet of well-formed and broken pieces;
+    # element exponents stay small, since straightening is bounded by the
+    # budget, not by the parser
+    ELEMENT_PIECES = [
+        "t[2,1]", "tb[1,2]", "t[1,1]", "tb[2,2]^-1", "t[3,1]^2", "tb[2,3]",
+        "t[1,2]", "t[9,1]", "t[", "]", ",", "^", "^-1", "^2", "^ -1", "+",
+        "-", "*", "/", " ", "(", ")", "q", "0", "2", "(q - q^-1)", "(0)^-2",
+        "((0)^-2)", "((1+q)^40)", "²", "٣", "x",
+    ]
+    SCALAR_PIECES = [
+        "q", "^", "-", "+", "*", "/", "(", ")", " ", "0", "1", "2", "64",
+        "65", "(1+q)^9", "2^100", "1" * 40, "²", "٣", "x", "t[2,1]",
+    ]
+    WEIGHT_ENTRIES = [
+        "+q^1", "-q^0", "q^-3", "q^1/2", "+q^3/2", "q^1/64", "q^65/65",
+        "q^1/65", "q^1/0", "+q^x", "q^²", "q^٣", "+q^99999999999", "q^",
+        "", " -q^2 ", "+-q^1",
+    ]
+
+    @staticmethod
+    def exit_code(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                return main(list(argv))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.sampled_from(["01", "000", "0011"]),
+        text=st.lists(st.sampled_from(ELEMENT_PIECES), max_size=6).map("".join),
+    )
+    def test_normalize_element(self, s, text):
+        assert self.exit_code("normalize", "--s", s, "--element=" + text) in (
+            0, 1, 2
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(SCALAR_PIECES), max_size=5).map("".join))
+    def test_evalrep_parameter(self, text):
+        code = self.exit_code(
+            "evalrep", "--s", "01", "--weights", "+q^1,+q^0", "--a=" + text
+        )
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.sampled_from(WEIGHT_ENTRIES), min_size=1, max_size=4).map(
+            ",".join
+        )
+    )
+    def test_classify_weights(self, text):
+        code = self.exit_code("classify", "--s", "001", "--weights=" + text)
+        assert code in (0, 1, 2)
 
 
 def write_factors(tmp_path, payload):

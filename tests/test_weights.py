@@ -60,6 +60,15 @@ def test_parse_rejects(text):
         parse_weight("001", text)
 
 
+def test_denominator_cap():
+    # the least common denominator is capped, not each exponent's own
+    assert HWeight("01", (Fraction(1, 64), Fraction(1, 32))).denominator() == 64
+    with pytest.raises(WeightError, match="denominator 65 exceeds the cap"):
+        HWeight("01", (Fraction(1, 65), 0))
+    with pytest.raises(WeightError, match="denominator 72 exceeds the cap"):
+        parse_weight("01", "+q^1/8,+q^1/9")
+
+
 def test_hweight_validation():
     with pytest.raises(WeightError):
         HWeight("01", (1,))
