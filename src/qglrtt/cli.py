@@ -11,38 +11,19 @@ import argparse
 import json
 import sys
 
-from .affine import (
-    NO_MAXIMAL_VECTOR,
-    AffineError,
-    Refusal,
-    check_T1,
-    check_T2,
-    check_T3,
-    cyclic_span,
-    evaluation_rep,
-    highest_weight_series,
-    joint_kernel,
-    tensor,
-    verify_affine_relations,
-)
-from .parity import ParitySeq, enumerate_sequences
-from .reflections import verify_odd_reflection
-from .rtt import ElementParseError, StraighteningBudgetExceeded, parse_element
-from .scalars import QScalar, ScalarParseError, qscalar_parse
-from .tensor import check_ybe
-from .weights import (
-    DID_NOT_STABILIZE,
-    WeightError,
-    build_irreducible,
-    classify,
-    parse_weight,
-    verify_module,
-)
+# Every run is a fresh interpreter, often without cached bytecode, so each
+# command imports only the layers it runs: classify never compiles the
+# straightening, linear-algebra or loop layers.
 
 WEIGHT_HELP = (
     "comma-separated weight entries '<sign>q^<rational>', "
-    "e.g. \"+q^3,+q^1,-q^1/2\""
+    "e.g. \"+q^3,+q^1,-q^1/2\"; when the first entry is negative, join "
+    "it with '=', as in --weights=-q^1,+q^0"
 )
+
+#: Largest m + n that ``ybe`` accepts.  Its work roughly triples with each
+#: extra index; (3|3), the costliest size accepted, takes a few seconds.
+YBE_MAX_INDICES = 6
 
 
 class UsageError(Exception):
@@ -63,6 +44,8 @@ def _emit(data, out_path):
 
 
 def _parse_sequence(text):
+    from .parity import ParitySeq
+
     try:
         return ParitySeq(text)
     except (ValueError, TypeError) as exc:
@@ -70,6 +53,8 @@ def _parse_sequence(text):
 
 
 def _parse_weight_arg(s, text):
+    from .weights import WeightError, parse_weight
+
     try:
         return parse_weight(s, text)
     except WeightError as exc:
@@ -77,6 +62,8 @@ def _parse_weight_arg(s, text):
 
 
 def _parse_scalar_arg(text):
+    from .scalars import ScalarParseError, qscalar_parse
+
     try:
         return qscalar_parse(text)
     except ScalarParseError as exc:
@@ -111,8 +98,15 @@ def _parse_scan(text):
 
 
 def cmd_ybe(args):
+    from .parity import enumerate_sequences
+    from .tensor import check_ybe
+
     if args.m < 0 or args.n < 0 or args.m + args.n < 1:
         raise UsageError("need --m, --n >= 0 with m + n >= 1")
+    if args.m + args.n > YBE_MAX_INDICES:
+        raise UsageError(
+            "m + n is at most %d, got %d" % (YBE_MAX_INDICES, args.m + args.n)
+        )
     reports = []
     all_pass = True
     for s in enumerate_sequences(args.m, args.n):
@@ -129,6 +123,12 @@ def cmd_ybe(args):
 
 
 def cmd_normalize(args):
+    from .rtt import (
+        ElementParseError,
+        StraighteningBudgetExceeded,
+        parse_element,
+    )
+
     s = _parse_sequence(args.s)
     try:
         element = parse_element(s, args.element)
@@ -147,6 +147,8 @@ def cmd_normalize(args):
 
 
 def cmd_braid_verify(args):
+    from .reflections import verify_odd_reflection
+
     s = _parse_sequence(args.s)
     if args.i is not None:
         if not 1 <= args.i <= s.N - 1:
@@ -173,6 +175,8 @@ def cmd_braid_verify(args):
 
 
 def cmd_classify(args):
+    from .weights import classify
+
     s = _parse_sequence(args.s)
     weight = _parse_weight_arg(s, args.weights)
     verdict = classify(s, weight)
@@ -195,6 +199,13 @@ def _check_level_cap(cap):
 
 
 def cmd_module(args):
+    from .weights import (
+        DID_NOT_STABILIZE,
+        build_irreducible,
+        classify,
+        verify_module,
+    )
+
     _check_level_cap(args.level_cap)
     s = _parse_sequence(args.s)
     weight = _parse_weight_arg(s, args.weights)
@@ -239,6 +250,8 @@ def cmd_module(args):
 
 
 def _build_eval(s, wtext, atext, level_cap=None):
+    from .affine import evaluation_rep
+
     weight = _parse_weight_arg(s, wtext)
     a = _parse_scalar_arg(atext)
     if a.is_zero():
@@ -247,6 +260,13 @@ def _build_eval(s, wtext, atext, level_cap=None):
 
 
 def cmd_evalrep(args):
+    from .affine import (
+        NO_MAXIMAL_VECTOR,
+        highest_weight_series,
+        verify_affine_relations,
+    )
+    from .weights import WeightError, classify
+
     _check_level_cap(args.level_cap)
     s = _parse_sequence(args.s)
     try:
@@ -281,6 +301,8 @@ def cmd_evalrep(args):
 
 def _minimal_vector(rep):
     """A lowest-weight vector: joint kernel of every mode with i > j."""
+    from .affine import joint_kernel
+
     basis = joint_kernel(rep, raising=False)
     if len(basis) != 1:
         return None
@@ -288,6 +310,8 @@ def _minimal_vector(rep):
 
 
 def _certificate(s, hw):
+    from .affine import check_T1, check_T2, check_T3
+
     if s.N == 2:
         if s.parity(1) != s.parity(2):
             return "T1", check_T1(hw)
@@ -320,6 +344,8 @@ def _load_factors(path):
 
 
 def _tensor_summary(rep):
+    from .affine import cyclic_span, highest_weight_series
+
     hw = highest_weight_series(rep)
     span_max = cyclic_span(rep, rep.maximal_index)
     out = {
@@ -343,6 +369,16 @@ def _tensor_summary(rep):
 
 
 def cmd_tensor(args):
+    from .affine import (
+        NO_MAXIMAL_VECTOR,
+        Refusal,
+        evaluation_rep,
+        tensor,
+        verify_affine_relations,
+    )
+    from .scalars import QScalar
+    from .weights import WeightError
+
     spec = _load_factors(args.factors)
     s = _parse_sequence(spec["sequence"])
     scan_points = None
@@ -458,7 +494,10 @@ def _build_parser():
         help="Yang-Baxter reports for every parity sequence of type (m|n)",
     )
     p.add_argument("--m", type=int, required=True, help="number of 0 parities")
-    p.add_argument("--n", type=int, required=True, help="number of 1 parities")
+    p.add_argument(
+        "--n", type=int, required=True,
+        help="number of 1 parities (m + n at most %d)" % YBE_MAX_INDICES,
+    )
     p.add_argument(
         "--no-spectral", action="store_true",
         help="skip the spectral-parameter identity",
@@ -580,7 +619,11 @@ def main(argv=None):
     except UsageError as exc:
         _note("error: %s" % exc)
         return 2
-    except AffineError as exc:
+    except Exception as exc:
+        # an AffineError can only come from a command that loaded affine
+        affine = sys.modules.get("qglrtt.affine")
+        if affine is None or not isinstance(exc, affine.AffineError):
+            raise
         _note("error: %s" % exc)
         return 2
 

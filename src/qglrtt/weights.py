@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
 
-from .linalg import RowSpace, kernel_basis
 from .parity import (
     ParitySeq,
     even_positive_roots,
@@ -37,9 +36,7 @@ from .parity import (
     rho_fractions,
     sort_to_standard,
 )
-from .rtt import AlgebraElement, gen_parity, pbw_generator_order
 from .scalars import QScalar, _Parser
-from .tensor import Mat, Space
 
 __all__ = [
     "WeightError",
@@ -378,12 +375,17 @@ def kac_dimension(s, weight):
 
 # ---------------------------------------------------------------------------
 # Explicit construction of the irreducible quotient
+#
+# Classification needs none of the straightening, linear-algebra and matrix
+# layers, so the construction imports them where it uses them.
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=16384)
 def _word_product_terms(bits, left, right):
     """Normal form of the product of two normal-form words, as a term tuple."""
+    from .rtt import AlgebraElement
+
     s = ParitySeq(bits)
     one = QScalar.one()
     prod = AlgebraElement(s, {left: one}) * AlgebraElement(s, {right: one})
@@ -431,6 +433,8 @@ def _level(key):
 
 def _lowering_monomials(s, gens, level):
     """PBW lowering words of exactly the given level, in no fixed order."""
+    from .rtt import gen_parity
+
     out = []
     word = []
 
@@ -507,6 +511,8 @@ class ModuleRep:
 
     def op(self, kind, i, j):
         """Matrix of t[i,j] / tb[i,j]; zero off the triangular support."""
+        from .tensor import Mat
+
         m = self.matrices.get((kind, i, j))
         return m if m is not None else Mat.zero(self.space)
 
@@ -567,6 +573,10 @@ def build_irreducible(s, weight, level_cap):
     and otherwise the string sentinel ``"did not stabilize"`` is returned.
     The work of a certified build follows the module, not the cap.
     """
+    from .linalg import RowSpace, kernel_basis
+    from .rtt import AlgebraElement, gen_parity, pbw_generator_order
+    from .tensor import Mat, Space
+
     s = _check_weight(s, weight)
     if level_cap < 1:
         raise WeightError("level_cap must be >= 1")
@@ -703,6 +713,8 @@ def build_irreducible(s, weight, level_cap):
 
 def _word_matrix(rep, key):
     """Matrix of a normal-form word in a constructed module."""
+    from .tensor import Mat
+
     M = Mat.identity(rep.space)
     for g, e in key:
         base = rep.matrices[g]
@@ -727,6 +739,9 @@ def verify_module(rep, max_failures=10):
     matrix product equals the matrix of the straightened normal form, which
     entails every defining relation instance.
     """
+    from .rtt import AlgebraElement
+    from .tensor import Mat
+
     s = rep.s
     D = rep.denominator
     bits = str(s)

@@ -80,6 +80,18 @@ class TestClassify:
         )
         assert code == 2
 
+    def test_negative_first_entry_joined_with_equals(self, capsys):
+        code, data, _ = run_json(
+            capsys, "classify", "--s", "11", "--weights=-q^1,+q^0"
+        )
+        assert code == 0
+        assert data["weight"] == "-q^1,+q^0"
+        # a separate argument starting with '-' reads as an option
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--s", "11", "--weights", "-q^1,+q^0"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
 
 class TestYbe:
     def test_three_pass_lines(self, capsys):
@@ -106,6 +118,13 @@ class TestYbe:
     def test_bad_size_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "ybe", "--m", "0", "--n", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("m, n", [(4, 3), (7, 0), (50, 50)])
+    def test_too_many_indices_is_usage_error(self, capsys, m, n):
+        code, out, err = run(capsys, "ybe", "--m", str(m), "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert "m + n is at most 6, got %d" % (m + n) in err
 
 
 class TestNormalize:
@@ -474,9 +493,70 @@ class TestTensor:
 
 
 class TestPlumbing:
+    LAYERS = {p.stem for p in (ROOT / "src" / "qglrtt").glob("*.py")} - {
+        "__init__", "__main__", "cli"
+    }
+
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, code, allowed",
+        [
+            # importing the CLI loads no layer, and neither does a usage error
+            ([], 2, set()),
+            (
+                ["classify", "--s", "01", "--weights", "+q^1,+q^1"],
+                0, {"parity", "scalars", "weights"},
+            ),
+            (
+                ["normalize", "--s", "01", "--element", "tb[1,2] t[2,1]"],
+                0, LAYERS - {"affine", "weights", "linalg", "reflections"},
+            ),
+            (["ybe", "--m", "1", "--n", "1"], 0, LAYERS - {"rtt"}),
+        ],
+        ids=["none", "classify", "normalize", "ybe"],
+    )
+    def test_commands_load_only_their_layers(self, argv, code, allowed):
+        # each run compiles what it imports, as a fresh command does
+        env = dict(child_env(), PYTHONDONTWRITEBYTECODE="1")
+        script = (
+            "import json, sys\n"
+            "import qglrtt.cli\n"
+            "code = qglrtt.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script] + argv,
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert got == code
+        loaded = {m[len("qglrtt."):] for m in modules if m.startswith("qglrtt.")}
+        assert loaded - {"cli"} <= allowed
+
+    @pytest.mark.parametrize("command", ["evalrep", "tensor"])
+    def test_affine_error_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        from qglrtt import affine
+
+        def refuse(*args, **kwargs):
+            raise affine.AffineError("refused for the test")
+
+        monkeypatch.setattr(affine, "evaluation_rep", refuse)
+        if command == "evalrep":
+            argv = ["evalrep", "--s", "01", "--weights", "+q^1,+q^1"]
+        else:
+            path = write_factors(tmp_path, TestGoldenOutput.README_FACTORS)
+            argv = ["tensor", "--factors", path]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: refused for the test" in err
+        assert "Traceback" not in err
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
