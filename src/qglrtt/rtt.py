@@ -10,19 +10,19 @@ respect to the PBW basis of ordered monomials
     prod_i  tbar_{1,i} tbar_{2,i} ... tbar_{i-1,i}  (raising block)
 
 with exponents in Z_+ for even off-diagonal generators, {0,1} for odd ones,
-and Z on the diagonal.  Straightening repeatedly rewrites the leftmost
-adjacent out-of-order pair; diagonal generators move past everything by a
-scalar rule.  The rule for a non-diagonal pair g1 = (., a, b) before
-g2 = (., c, d) is not written out: it is relation instance (c, d, a, b) of
-the family of g2 g1 in the R-matrix expansion (:func:`relation_expansion`),
-solved for g1 g2.  Its first word is the swapped pair g2 g1, which is one
-step closer to normal form; the correction words carry the other letters.
+and Z on the diagonal.  Straightening multiplies a normal form by one
+letter at a time (:func:`_product`); the letter moves left past the larger
+letters, past a diagonal generator by a scalar rule.  The rule for a
+non-diagonal pair g1 = (., a, b) before g2 = (., c, d) is not written out:
+it is relation instance (c, d, a, b) of the family of g2 g1 in the R-matrix
+expansion (:func:`relation_expansion`), solved for g1 g2.  Its first word
+is the swapped pair g2 g1, which is one step closer to normal form; the
+correction words carry the other letters.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from functools import lru_cache, partial
 from itertools import product
 
@@ -117,141 +117,153 @@ class StraighteningBudgetExceeded(RuntimeError):
     pass
 
 
-def _normalize(s, words, budget=None):
-    """Straighten a dict {word: coeff} into normal-form {key: coeff}.
-
-    A word is a tuple of (gen, exp) letters.  Words waiting to be rewritten
-    sit in a worklist, a dict from word to coefficient: pushing a word that
-    is already pending adds its coefficient, so a word that the rewriting
-    produces many times is expanded once.  Pending words are popped in
-    first-in, first-out order, so the words that one round of rewriting
-    makes are all pending, and merged, before any of them is expanded.  A
-    popped word is rewritten at its leftmost out-of-order pair until it is
-    in normal form, dies by the odd-square rule, or forks by a relation
-    rule into new pending words.  Normal forms are unique
-    (:func:`check_normal_form_uniqueness`), so the order changes the work
-    and never the result.
-
-    The budget caps the number of popped words with a nonzero coefficient
-    (a merged word whose coefficients cancel is dropped and not counted).
-    It scales with word length and degree, so runaway rewriting raises
-    instead of spinning.
-    """
-    if budget is None:
-        maxlen = max((len(w) for w in words), default=0)
-        maxdeg = max(
-            (max((abs(e) for _, e in w), default=1) for w in words), default=1
-        )
-        budget = 1000 * (maxlen + 2) * (maxlen + 2) * (maxdeg + 1)
-    out = {}
-    # odd generators square to zero; rewriting never raises the exponent of
-    # an odd letter, so only the input words can hold an odd power
-    pending = {
-        w: c
-        for w, c in words.items()
-        if not c.is_zero() and not any(e > 1 and gen_is_odd(s, g) for g, e in w)
-    }
-    # the keys in push order; a key is queued exactly while it is pending
-    queue = deque(pending)
-    steps = 0
-    while queue:
-        word = queue.popleft()
-        coeff = pending.pop(word)
-        if coeff.is_zero():
-            continue
-        steps += 1
-        if steps > budget:
-            raise StraighteningBudgetExceeded(
-                "straightening exceeded %d rewriting steps" % budget
-            )
-        word = list(word)
-        p = 0
-        dead = False
-        forked = False
-
-        def _fix(idx):
-            # purge zero exponents and rewrite diagonal t as tb^{-1}
-            gen, e = word[idx]
-            if e == 0:
-                del word[idx]
-                return True
-            kind, i, j = gen
-            if kind == "t" and i == j:
-                word[idx] = (("tb", i, i), -e)
-                return True
-            return False
-
-        while True:
-            if p < len(word) and _fix(p):
-                p = max(0, p - 1)
-                continue
-            if p + 1 < len(word) and _fix(p + 1):
-                continue
-            if p + 1 >= len(word):
-                break
-            (g1, e1), (g2, e2) = word[p], word[p + 1]
-            if g1 == g2:
-                if gen_is_odd(s, g1):
-                    dead = True
-                    break
-                word[p : p + 2] = [(g1, e1 + e2)]
-                p = max(0, p - 1)
-                continue
-            s1, s2 = _slot(g1), _slot(g2)
-            if s1 <= s2:
-                p += 1
-                continue
-            if g1[1] == g1[2]:  # diagonal moves right by a scalar
-                a = g1[1]
-                delta = (1 if a == g2[1] else 0) - (1 if a == g2[2] else 0)
-                if delta:
-                    coeff = coeff * (_qi(s, a) ** (e1 * e2 * delta))
-                word[p], word[p + 1] = (g2, e2), (g1, e1)
-                p = max(0, p - 1)
-                continue
-            if g2[1] == g2[2]:  # diagonal moves left by the inverse scalar
-                a = g2[1]
-                delta = (1 if a == g1[1] else 0) - (1 if a == g1[2] else 0)
-                if delta:
-                    coeff = coeff * (_qi(s, a) ** (-e1 * e2 * delta))
-                word[p], word[p + 1] = (g2, e2), (g1, e1)
-                p = max(0, p - 1)
-                continue
-            # genuine relation rewrite on one copy of each letter
-            pre = word[:p]
-            post = word[p + 2 :]
-            mid_left = [(g1, e1 - 1)] if e1 > 1 else []
-            mid_right = [(g2, e2 - 1)] if e2 > 1 else []
-            for rcoeff, letters in _pair_rule(s.bits, g1, g2):
-                nw = tuple(
-                    pre
-                    + mid_left
-                    + [(g, 1) for g in letters]
-                    + mid_right
-                    + post
-                )
-                cur = pending.get(nw)
-                if cur is None:
-                    pending[nw] = coeff * rcoeff
-                    queue.append(nw)
-                else:
-                    pending[nw] = cur + coeff * rcoeff
-            forked = True
-            break
-        if dead or forked:
-            continue
-        key = tuple(word)
-        cur = out.get(key)
-        if cur is None:
-            if not coeff.is_zero():
-                out[key] = coeff
+def _add_term(terms, key, c):
+    cur = terms.get(key)
+    if cur is None:
+        terms[key] = c
+    else:
+        total = cur + c
+        if total.is_zero():
+            del terms[key]
         else:
-            nv = cur + coeff
-            if nv.is_zero():
-                del out[key]
+            terms[key] = total
+
+
+def _product(s, left, right, budget=None):
+    """Normal form of sum(left) * sum(right), as {key: coeff}.
+
+    `left` is in normal form and `right` maps words, tuples of (gen, exp)
+    letters in any order, to coefficients.  Each word of `right` is folded
+    into `left` one letter at a time by one product step, a normal word
+    times one letter.  The letter moves left past the larger letters of the
+    word: past a diagonal letter by the scalar rule, past a non-diagonal one
+    by :func:`_pair_rule`, whose swapped word carries the letter on and
+    whose correction words are folded in the same way.  It stops at a
+    smaller letter or merges with an equal one (an odd letter squares to
+    zero).  A non-diagonal power moves one copy at a time.  Equal terms
+    merge after every letter, so a word that many paths reach is carried
+    on once.  Normal forms are unique
+    (:func:`check_normal_form_uniqueness`), so the order of the rewriting
+    changes the work and never the result.
+
+    The budget caps the work: every term that a step hands back to a fold
+    counts one unit, one scalar product.  By default it is
+    1000 (L + 2)^2 (D + 1), with L the longest left word plus the longest
+    right word and D the largest absolute exponent (at least 1), so
+    runaway rewriting raises in bounded time instead of spinning.
+    """
+    work = 0
+    # the default budget is at least 8000 and is worked out once passed
+    limit = 8000 if budget is None else budget
+
+    def fold(terms, letters):
+        nonlocal work
+        for g, e in letters:
+            kind, i, j = g
+            if kind == "t" and i == j:
+                g, e = ("tb", i, i), -e
+            slot = _slot(g)
+            done = {}
+            while e and terms:
+                moving = {}
+                for word, c in terms.items():
+                    if not word or _slot(word[-1][0]) < slot:
+                        # the letter joins the end; an odd power is zero
+                        work += 1
+                        if e == 1 or not gen_is_odd(s, g):
+                            _add_term(done, word + ((g, e),), c)
+                        continue
+                    # a diagonal letter and a merging power move whole,
+                    # other powers one copy at a time
+                    whole = e == 1 or i == j or word[-1][0] == g
+                    out = step(word, g, e if whole else 1, slot)
+                    work += len(out)
+                    into = done if whole else moving
+                    for key, c2 in out.items():
+                        _add_term(into, key, c * c2)
+                if work > limit:
+                    over_budget()
+                terms = moving
+                e -= 1
+            for key, c in terms.items():
+                _add_term(done, key, c)
+            terms = done
+        return terms
+
+    def over_budget():
+        nonlocal budget, limit
+        if budget is None:
+            maxlen = max(map(len, left)) + max(map(len, right))
+            maxdeg = max(abs(e) for w in (*left, *right) for _, e in w)
+            budget = limit = 1000 * (maxlen + 2) ** 2 * (max(maxdeg, 1) + 1)
+        if work > budget:
+            raise StraighteningBudgetExceeded(
+                "straightening exceeded %d units of work" % budget
+            )
+
+    def step(word, g, e, slot):
+        """word * g^e for a letter that moves left or merges with word[-1]."""
+        out = {}
+        coeff = QONE
+        p = len(word)
+        passed = []
+        while p:
+            h, f = word[p - 1]
+            if h == g:
+                if gen_is_odd(s, g):
+                    return out
+                f += e
+                p -= 1
+                tail = ((g, f),) if f else ()
+                break
+            if _slot(h) < slot:
+                tail = ((g, e),)
+                break
+            p -= 1
+            if h[1] == h[2]:  # a diagonal letter passes by a scalar
+                a = h[1]
+                delta = (a == g[1]) - (a == g[2])
+                if delta:
+                    coeff = coeff * _qi(s, a) ** (f * e * delta)
+            elif g[1] == g[2]:
+                a = g[1]
+                delta = (a == h[1]) - (a == h[2])
+                if delta:
+                    coeff = coeff * _qi(s, a) ** (-f * e * delta)
+            else:  # h^f g, one copy of h at a time
+                (c0, _), *corrections = _pair_rule(s.bits, h, g)
+                after = passed[::-1]
+                for k in range(f, 0, -1):
+                    base = word[:p] + (((h, k - 1),) if k > 1 else ())
+                    later = [(h, f - k)] + after if k < f else after
+                    for c, letters in corrections:
+                        fixed = fold(
+                            {base: coeff * c}, [(x, 1) for x in letters] + later
+                        )
+                        for key, c2 in fixed.items():
+                            _add_term(out, key, c2)
+                    coeff = coeff * c0
+            passed.append((h, f))
+        else:
+            tail = ((g, e),)
+        _add_term(out, word[:p] + tail + tuple(passed[::-1]), coeff)
+        return out
+
+    out = {}
+    for word, c in right.items():
+        if not c.is_zero():
+            part = fold({k: c1 * c for k, c1 in left.items()}, word)
+            if not out:
+                out = part
             else:
-                out[key] = nv
+                for key, c2 in part.items():
+                    _add_term(out, key, c2)
     return out
+
+
+def _normalize(s, words, budget=None):
+    """Straighten a dict {word: coeff} into normal-form {key: coeff}."""
+    return _product(s, {(): QONE}, words, budget)
 
 
 class AlgebraElement:
@@ -346,12 +358,7 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            cur = out.get(k)
-            nv = v if cur is None else cur + v
-            if nv.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = nv
+            _add_term(out, k, v)
         return AlgebraElement(self.s, out)
 
     def __sub__(self, other):
@@ -371,18 +378,7 @@ class AlgebraElement:
         if isinstance(other, (int, QScalar)):
             return self.scale(other)
         self._check(other)
-        words = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                w = k1 + k2
-                c = c1 * c2
-                cur = words.get(w)
-                nv = c if cur is None else cur + c
-                if nv.is_zero():
-                    words.pop(w, None)
-                else:
-                    words[w] = nv
-        return AlgebraElement(self.s, _normalize(self.s, words))
+        return AlgebraElement(self.s, _product(self.s, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, QScalar)):
@@ -832,12 +828,7 @@ def scale_automorphism(s, dscalar, eps, x):
             c = c * (base ** e)
             if eps[i - 1] == -1 and e % 2:
                 c = -c
-        cur = out.get(key)
-        nv = c if cur is None else cur + c
-        if nv.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = nv
+        _add_term(out, key, c)
     return AlgebraElement(s, out)
 
 

@@ -490,6 +490,11 @@ class QScalar:
     def __mul__(self, other):
         if isinstance(other, int):
             other = QScalar(other)
+        # most straightening steps carry the unit
+        if self is QONE:
+            return other
+        if other is QONE:
+            return self
         sd, od = self.den, other.den
         if sd.coeffs == (1,) == od.coeffs and not sd.offset and not od.offset:
             # polynomial times polynomial is canonical over the denominator 1

@@ -384,12 +384,11 @@ def kac_dimension(s, weight):
 @lru_cache(maxsize=16384)
 def _word_product_terms(bits, left, right):
     """Normal form of the product of two normal-form words, as a term tuple."""
-    from .rtt import AlgebraElement
+    from .rtt import _product
 
-    s = ParitySeq(bits)
     one = QScalar.one()
-    prod = AlgebraElement(s, {left: one}) * AlgebraElement(s, {right: one})
-    return tuple(prod.sorted_terms())
+    terms = _product(ParitySeq(bits), {left: one}, {right: one})
+    return tuple(sorted(terms.items()))
 
 
 def _split_normal_key(key):
@@ -570,11 +569,12 @@ def build_irreducible(s, weight, level_cap):
     at the first one, or at depth ``level_cap``.  A raising letter moves up
     at most ``window`` depths; the module is certified complete only when
     ``top + window <= level_cap``, with ``top`` its deepest nonzero depth,
-    and otherwise the string sentinel ``"did not stabilize"`` is returned.
-    The work of a certified build follows the module, not the cap.
+    and otherwise the string sentinel ``"did not stabilize"`` is returned,
+    as soon as a nonzero depth shows it.  The work of a certified build
+    follows the module, not the cap.
     """
     from .linalg import RowSpace, kernel_basis
-    from .rtt import AlgebraElement, gen_parity, pbw_generator_order
+    from .rtt import AlgebraElement, _add_term, gen_parity, pbw_generator_order
     from .tensor import Mat, Space
 
     s = _check_weight(s, weight)
@@ -601,12 +601,7 @@ def build_irreducible(s, weight, level_cap):
             val = tc.stretch(D)
             for gg, ee in diag:
                 val = val * eigenvalue(gg, ee)
-            cur = img.get(low)
-            nv = val if cur is None else cur + val
-            if nv.is_zero():
-                img.pop(low, None)
-            else:
-                img[low] = nv
+            _add_term(img, low, val)
         return img
 
     # weight -> (depth, monomials, their index, radical, quotient columns)
@@ -656,6 +651,8 @@ def build_irreducible(s, weight, level_cap):
                 top = depth
         if top < depth:
             break
+        if depth + window > level_cap:  # top can only grow from here
+            return DID_NOT_STABILIZE
     if lowering and top + window > level_cap:
         return DID_NOT_STABILIZE
 

@@ -82,16 +82,21 @@ def test_odd_generator_power_is_zero():
     assert str(x) == "(-1) tb[1,1]^-1"
 
 
-POWER_WORD_K3 = (
-    (("tb", 1, 2), 3), (("tb", 3, 4), 3), (("t", 2, 1), 3), (("t", 4, 3), 3),
-)
+def _power_word(k):
+    return (
+        (("tb", 1, 2), k), (("tb", 3, 4), k), (("t", 2, 1), k), (("t", 4, 3), k),
+    )
+
+
+POWER_WORD_K3 = _power_word(3)
 
 
 def test_worklist_merges_repeated_words():
-    # the k=3 power word regenerates the same words many times; expanding
-    # each pending word once takes 2,583 steps, and 34,111 without merging
+    # the k=3 power word makes the same words many times over; merging equal
+    # terms after each letter, the fold takes 1,472 units of work, and 4,616
+    # with every term kept apart
     s = ParitySeq("0011")
-    out = rtt._normalize(s, {POWER_WORD_K3: QONE}, budget=5000)
+    out = rtt._normalize(s, {POWER_WORD_K3: QONE}, budget=2000)
     assert len(out) == 100
     assert out == rtt._normalize(s, {POWER_WORD_K3: QONE})
 
@@ -103,21 +108,81 @@ def test_small_budget_raises():
 
 
 def test_cancelled_words_are_not_expanded():
-    # tb[1,2] t[2,1] rewrites to c t[2,1] tb[1,2] plus two diagonal words;
-    # with -c t[2,1] tb[1,2] pending as well, the swapped word cancels and
-    # costs no step: 3 words are expanded, not 4
+    # x t[2,1] has the word t[2,1] tb[1,1]^-1 tb[2,2] from both terms of x,
+    # and their coefficients cancel, so tb[1,1] is then multiplied onto one
+    # term, not two: 8 units of work, and 9 when they do not cancel.  The
+    # budget is exact: 8 passes and 7 raises.
     s = ParitySeq("01")
-    g1, g2 = ("tb", 1, 2), ("t", 2, 1)
-    (c, swapped), *corrections = rtt._pair_rule(s.bits, g1, g2)
-    assert swapped == (g2, g1) and len(corrections) == 2
-    words = {((g1, 1), (g2, 1)): QONE, ((g2, 1), (g1, 1)): -c}
-    expected = AlgebraElement.zero(s)
-    for cc, letters in corrections:
-        word = [(g, 1) for g in letters]
-        expected = expected + AlgebraElement.from_word(s, word, cc)
-    assert AlgebraElement(s, rtt._normalize(s, words, budget=3)) == expected
+    word = {((("t", 2, 1), 1), (("tb", 1, 1), 1)): QONE}
+    x = parse_element(s, "t[2,1] tb[1,2] - (q - q^-1) tb[1,1]^-1 tb[2,2]")
+    expected = x * parse_element(s, "t[2,1] tb[1,1]")
+    assert AlgebraElement(s, rtt._product(s, x.terms, word, 8)) == expected
     with pytest.raises(rtt.StraighteningBudgetExceeded):
-        rtt._normalize(s, words, budget=2)
+        rtt._product(s, x.terms, word, 7)
+    y = x + parse_element(s, "tb[1,1]^-1 tb[2,2]")
+    rtt._product(s, y.terms, word, 9)
+    with pytest.raises(rtt.StraighteningBudgetExceeded):
+        rtt._product(s, y.terms, word, 8)
+
+
+@pytest.mark.parametrize(
+    "bits, text, count",
+    [("000", "tb[1,3]^16 t[3,1]^16", 153), ("00", "tb[1,2]^20 t[2,1]^20", 231)],
+)
+def test_long_power_words_fit_the_default_budget(bits, text, count):
+    assert len(parse_element(bits, text).terms) == count
+
+
+def _random_factor(rng, s):
+    # one to three letters; diagonal inverses, and repeated letters, which
+    # square odd generators to zero
+    pool = [(g, 1) for g in pbw_generator_order(s)]
+    pool += [(("tb", a, a), -1) for a in range(1, s.N + 1)]
+    letters = []
+    for _ in range(rng.randint(1, 3)):
+        if letters and rng.random() < 0.25:
+            letters.append(letters[-1])
+        else:
+            letters.append(rng.choice(pool))
+    return AlgebraElement.from_word(s, letters)
+
+
+def _normal_form_digest():
+    elements = [
+        AlgebraElement.from_word("0011", _power_word(3)),
+        AlgebraElement.from_word("0011", _power_word(4)),
+        parse_element("00", "tb[1,2]^10 t[2,1]^10"),
+        parse_element("000", "tb[1,3]^6 t[3,1]^6"),
+    ]
+    rng = random.Random(22)
+    for N in (3, 4):
+        for bits in product("01", repeat=N):
+            s = ParitySeq("".join(bits))
+            for _ in range(3):
+                x, y, z = (_random_factor(rng, s) for _ in range(3))
+                elements.append((x * y) * z)
+    text = "\n".join("%s %s" % (x.s, x) for x in elements)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_normal_forms_match_digest(monkeypatch):
+    # taken from the whole-word worklist that the letter-by-letter product
+    # replaced: power words and random triples (xy)z on every sequence of
+    # length 3 and 4
+    digest = "0eeb572abebf1f4ac1011e6fa29e07200f67f1bd879db484dd77d3ba2fd11531"
+    assert _normal_form_digest() == digest
+    # negative control: one correction coefficient of one rule negated
+    rule = rtt._pair_rule
+
+    def corrupted(bits, g1, g2):
+        out = rule(bits, g1, g2)
+        if (g1, g2) != (("tb", 1, 2), ("t", 2, 1)):
+            return out
+        swapped, (c, word), *rest = out
+        return (swapped, (-c, word), *rest)
+
+    monkeypatch.setattr(rtt, "_pair_rule", corrupted)
+    assert _normal_form_digest() != digest
 
 
 def test_memo_caches_are_bounded():
