@@ -24,7 +24,7 @@ from math import lcm
 from .linalg import RowSpace, kernel_basis, vec_add
 from .parity import ParitySeq
 from .rtt import relation_expansion, varsigma
-from .scalars import QScalar
+from .scalars import QScalar, add_term
 from .tensor import Mat, SeriesMat, graded_kron
 from .weights import (
     DID_NOT_STABILIZE,
@@ -425,12 +425,7 @@ def tensor(rep1, rep2):
                     for r1, MA in sA.items():
                         for r2, MB in sB.items():
                             term = graded_kron(MA, MB)
-                            if sign < 0:
-                                term = -term
-                            cur = acc.get(r1 + r2)
-                            acc[r1 + r2] = (
-                                term if cur is None else cur + term
-                            )
+                            add_term(acc, r1 + r2, term if sign > 0 else -term)
                 modes[kind][(i, j)] = acc
     labels = None
     if rep1.labels is not None and rep2.labels is not None:
@@ -497,6 +492,15 @@ def verify_affine_relations(rep, max_failures=10):
         failures.append(fail)
         return len(failures) >= max_failures
 
+    def report(truncated):
+        return {
+            "pass": not failures,
+            "checked": checked,
+            "failure_count": len(failures),
+            "failures": failures,
+            "truncated": truncated,
+        }
+
     ident = Mat.identity(space)
     for i in range(1, N + 1):
         for j in range(1, N + 1):
@@ -523,13 +527,7 @@ def verify_affine_relations(rep, max_failures=10):
                 {"relation": "mode-zero-diagonal", "i": i}
             )
     if truncated:
-        return {
-            "pass": False,
-            "checked": checked,
-            "failure_count": len(failures),
-            "failures": failures,
-            "truncated": True,
-        }
+        return report(True)
 
     series_cache = {}
 
@@ -588,20 +586,8 @@ def verify_affine_relations(rep, max_failures=10):
                      "i": i, "j": j, "k": k, "l": l}
                 )
                 if record(item):
-                    return {
-                        "pass": False,
-                        "checked": checked,
-                        "failure_count": len(failures),
-                        "failures": failures,
-                        "truncated": True,
-                    }
-    return {
-        "pass": not failures,
-        "checked": checked,
-        "failure_count": len(failures),
-        "failures": failures,
-        "truncated": False,
-    }
+                    return report(True)
+    return report(False)
 
 
 # ---------------------------------------------------------------------------
@@ -1267,11 +1253,7 @@ def twist(rep, f=None, g=None, dilation=None):
                 out = {}
                 for r1, c in mult.items():
                     for r2, m in series.items():
-                        term = m.scale(c)
-                        cur = out.get(r1 + r2)
-                        out[r1 + r2] = (
-                            term if cur is None else cur + term
-                        )
+                        add_term(out, r1 + r2, m.scale(c))
             if dil is not None:
                 base = dil.inverse() if kind == "t" else dil
                 out = {r: m.scale(base ** r) for r, m in out.items()}

@@ -7,22 +7,14 @@ chosen as the smallest column index to keep reductions deterministic.
 
 from __future__ import annotations
 
-from .scalars import QScalar
+from .scalars import QScalar, add_term
 
 
 def vec_add(x, y, c=None):
     """x + c*y (c defaults to 1), dropping entries that cancel."""
     out = dict(x)
     for k, v in y.items():
-        w = v if c is None else c * v
-        if k in out:
-            nv = out[k] + w
-            if nv.is_zero():
-                del out[k]
-            else:
-                out[k] = nv
-        elif not w.is_zero():
-            out[k] = w
+        add_term(out, k, v if c is None else c * v)
     return out
 
 def vec_scale(x, c):

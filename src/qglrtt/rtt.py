@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 from itertools import product
 
 from .parity import ParitySeq
-from .scalars import QONE, QZERO, QScalar, _Parser, _tokenize
+from .scalars import QONE, QScalar, _Parser, _tokenize, add_term
 from .tensor import spectral_rmatrix
 
 
@@ -81,12 +81,8 @@ def pbw_generator_order(s):
     return gens
 
 
-def _qi(s, i):
-    return QScalar.q_power(s.d(i))
-
-
 def _qdiff(s, i):
-    return _qi(s, i) - _qi(s, i).inverse()
+    return s.q_i(i) - s.q_i(i).inverse()
 
 
 @lru_cache(maxsize=8192)
@@ -115,18 +111,6 @@ def _pair_rule(bits, g1, g2):
 
 class StraighteningBudgetExceeded(RuntimeError):
     pass
-
-
-def _add_term(terms, key, c):
-    cur = terms.get(key)
-    if cur is None:
-        terms[key] = c
-    else:
-        total = cur + c
-        if total.is_zero():
-            del terms[key]
-        else:
-            terms[key] = total
 
 
 def _product(s, left, right, budget=None):
@@ -171,7 +155,7 @@ def _product(s, left, right, budget=None):
                         # the letter joins the end; an odd power is zero
                         work += 1
                         if e == 1 or not gen_is_odd(s, g):
-                            _add_term(done, word + ((g, e),), c)
+                            add_term(done, word + ((g, e),), c)
                         continue
                     # a diagonal letter and a merging power move whole,
                     # other powers one copy at a time
@@ -180,13 +164,13 @@ def _product(s, left, right, budget=None):
                     work += len(out)
                     into = done if whole else moving
                     for key, c2 in out.items():
-                        _add_term(into, key, c * c2)
+                        add_term(into, key, c * c2)
                 if work > limit:
                     over_budget()
                 terms = moving
                 e -= 1
             for key, c in terms.items():
-                _add_term(done, key, c)
+                add_term(done, key, c)
             terms = done
         return terms
 
@@ -224,12 +208,12 @@ def _product(s, left, right, budget=None):
                 a = h[1]
                 delta = (a == g[1]) - (a == g[2])
                 if delta:
-                    coeff = coeff * _qi(s, a) ** (f * e * delta)
+                    coeff = coeff * s.q_i(a) ** (f * e * delta)
             elif g[1] == g[2]:
                 a = g[1]
                 delta = (a == h[1]) - (a == h[2])
                 if delta:
-                    coeff = coeff * _qi(s, a) ** (-f * e * delta)
+                    coeff = coeff * s.q_i(a) ** (-f * e * delta)
             else:  # h^f g, one copy of h at a time
                 (c0, _), *corrections = _pair_rule(s.bits, h, g)
                 after = passed[::-1]
@@ -241,12 +225,12 @@ def _product(s, left, right, budget=None):
                             {base: coeff * c}, [(x, 1) for x in letters] + later
                         )
                         for key, c2 in fixed.items():
-                            _add_term(out, key, c2)
+                            add_term(out, key, c2)
                     coeff = coeff * c0
             passed.append((h, f))
         else:
             tail = ((g, e),)
-        _add_term(out, word[:p] + tail + tuple(passed[::-1]), coeff)
+        add_term(out, word[:p] + tail + tuple(passed[::-1]), coeff)
         return out
 
     out = {}
@@ -257,7 +241,7 @@ def _product(s, left, right, budget=None):
                 out = part
             else:
                 for key, c2 in part.items():
-                    _add_term(out, key, c2)
+                    add_term(out, key, c2)
     return out
 
 
@@ -358,7 +342,7 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            _add_term(out, k, v)
+            add_term(out, k, v)
         return AlgebraElement(self.s, out)
 
     def __sub__(self, other):
@@ -596,8 +580,8 @@ def _constant_part(terms, kinds):
             continue
         key = tuple((kinds[var], a, b) for var, a, b in (x, y))
         if all(a >= b if kind == "t" else a <= b for kind, a, b in key):
-            merged[key] = merged.get(key, QZERO) - c
-    return {key: c for key, c in merged.items() if not c.is_zero()}
+            add_term(merged, key, -c)
+    return merged
 
 
 def _finite_residual(s, terms, which, image):
@@ -782,15 +766,15 @@ def check_dj_relations(s, max_failures=10):
             for ell in (i - 1, i + 1):
                 if 1 <= ell < N:
                     for sign, xs in (("+", xs_p), ("-", xs_m)):
-                        inner = super_bracket(xs[i], xs[ell], _qi(s, i))
-                        res = super_bracket(xs[i], inner, _qi(s, i).inverse())
+                        inner = super_bracket(xs[i], xs[ell], s.q_i(i))
+                        res = super_bracket(xs[i], inner, s.q_i(i).inverse())
                         record("serre", (i, ell, sign), res)
 
     for i in range(2, N - 1):
         if alpha_pairing(i, i) == 0:
             for sign, xs in (("+", xs_p), ("-", xs_m)):
-                lvl1 = super_bracket(xs[i - 1], xs[i], _qi(s, i))
-                lvl2 = super_bracket(lvl1, xs[i + 1], _qi(s, i + 1))
+                lvl1 = super_bracket(xs[i - 1], xs[i], s.q_i(i))
+                lvl2 = super_bracket(lvl1, xs[i + 1], s.q_i(i + 1))
                 res = super_bracket(lvl2, xs[i])
                 record("isotropic-degree-four", (i, sign), res)
 
@@ -828,7 +812,7 @@ def scale_automorphism(s, dscalar, eps, x):
             c = c * (base ** e)
             if eps[i - 1] == -1 and e % 2:
                 c = -c
-        _add_term(out, key, c)
+        add_term(out, key, c)
     return AlgebraElement(s, out)
 
 
@@ -857,6 +841,10 @@ def _element_tokens(s, text):
         if e < 0 and i != j:
             raise ElementParseError(
                 "only diagonal generators admit negative exponents"
+            )
+        if abs(e) > _Parser.MAX_EXPONENT:
+            raise ElementParseError(
+                "exponent %d exceeds the cap of %d" % (e, _Parser.MAX_EXPONENT)
             )
         if not (1 <= i <= s.N and 1 <= j <= s.N):
             raise ElementParseError("index out of range in %s" % m.group(0))

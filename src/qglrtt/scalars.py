@@ -580,6 +580,26 @@ QONE = _qscalar(_LONE, _LONE)
 Q = QScalar.q_power(1)
 
 
+def add_term(terms, key, value):
+    """Add ``value`` at ``key`` of a sparse sum, which never holds a zero.
+
+    Normal forms, vectors and matrices compare as plain dicts, so equal
+    sums compare equal only while no entry is zero: a zero ``value`` is not
+    stored, and a key whose sum cancels is deleted.  Values need only
+    ``+`` and ``is_zero()``, so scalars and matrices alike are summed.
+    """
+    cur = terms.get(key)
+    if cur is None:
+        if not value.is_zero():
+            terms[key] = value
+    else:
+        total = cur + value
+        if total.is_zero():
+            del terms[key]
+        else:
+            terms[key] = total
+
+
 # ---------------------------------------------------------------------------
 # Expression parser for Q(q)
 

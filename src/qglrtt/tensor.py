@@ -9,7 +9,7 @@ homogeneous A, B:  (A (x) B)(v (x) w) = (-1)^{|B||v|} Av (x) Bw.
 from __future__ import annotations
 
 from .parity import ParitySeq
-from .scalars import QScalar, QZERO, QONE, Q
+from .scalars import QScalar, QZERO, QONE, Q, add_term
 
 
 class Space:
@@ -89,16 +89,7 @@ class Mat:
             self.entries[(r, c)] = v
 
     def add_to(self, r, c, v):
-        cur = self.entries.get((r, c))
-        if cur is None:
-            if not v.is_zero():
-                self.entries[(r, c)] = v
-        else:
-            nv = cur + v
-            if nv.is_zero():
-                del self.entries[(r, c)]
-            else:
-                self.entries[(r, c)] = nv
+        add_term(self.entries, (r, c), v)
 
     def is_zero(self):
         return not self.entries
@@ -151,17 +142,7 @@ class Mat:
         for (r, c), v in self.entries.items():
             a = vec.get(c)
             if a is not None:
-                w = v * a
-                if not w.is_zero():
-                    cur = out.get(r)
-                    if cur is None:
-                        out[r] = w
-                    else:
-                        nv = cur + w
-                        if nv.is_zero():
-                            del out[r]
-                        else:
-                            out[r] = nv
+                add_term(out, r, v * a)
         return out
 
     def nonzero_cells(self):
@@ -278,17 +259,7 @@ class SeriesMat:
         return out
 
     def add_term(self, expo, mat):
-        expo = tuple(expo)
-        cur = self.terms.get(expo)
-        if cur is None:
-            if not mat.is_zero():
-                self.terms[expo] = mat
-        else:
-            s = cur + mat
-            if s.is_zero():
-                del self.terms[expo]
-            else:
-                self.terms[expo] = s
+        add_term(self.terms, tuple(expo), mat)
 
     def __add__(self, other):
         out = self.copy()
@@ -312,13 +283,6 @@ class SeriesMat:
 
     def is_zero(self):
         return not self.terms
-
-    def map_entries(self, f):
-        return SeriesMat(
-            self.nvars,
-            self.space,
-            {e: m.map_entries(f) for e, m in self.terms.items()},
-        )
 
     def nonzero_report(self, varnames):
         out = []

@@ -36,7 +36,7 @@ from .parity import (
     rho_fractions,
     sort_to_standard,
 )
-from .scalars import QScalar, _Parser
+from .scalars import QScalar, _Parser, add_term
 
 __all__ = [
     "WeightError",
@@ -458,15 +458,6 @@ def _lowering_monomials(s, gens, level):
     return out
 
 
-def _letters_str(key):
-    if not key:
-        return "1"
-    return "*".join(
-        "%s[%d,%d]%s" % (g[0], g[1], g[2], "" if e == 1 else "^%d" % e)
-        for g, e in key
-    )
-
-
 class ModuleRep:
     """An irreducible highest-weight module given by explicit matrices.
 
@@ -516,7 +507,12 @@ class ModuleRep:
         return m if m is not None else Mat.zero(self.space)
 
     def basis_strings(self):
-        return [_letters_str(k) for k in self.basis]
+        from .rtt import _letter_text
+
+        return [
+            "*".join(_letter_text(g, e) for g, e in key) or "1"
+            for key in self.basis
+        ]
 
     def to_json(self):
         mats = {}
@@ -574,7 +570,7 @@ def build_irreducible(s, weight, level_cap):
     follows the module, not the cap.
     """
     from .linalg import RowSpace, kernel_basis
-    from .rtt import AlgebraElement, _add_term, gen_parity, pbw_generator_order
+    from .rtt import AlgebraElement, gen_parity, pbw_generator_order
     from .tensor import Mat, Space
 
     s = _check_weight(s, weight)
@@ -601,7 +597,7 @@ def build_irreducible(s, weight, level_cap):
             val = tc.stretch(D)
             for gg, ee in diag:
                 val = val * eigenvalue(gg, ee)
-            _add_term(img, low, val)
+            add_term(img, low, val)
         return img
 
     # weight -> (depth, monomials, their index, radical, quotient columns)

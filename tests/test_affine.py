@@ -25,6 +25,7 @@ from qglrtt.affine import (
     _peq,
     _pmul,
 )
+from qglrtt.linalg import vec_add
 from qglrtt.scalars import QScalar, qscalar_parse
 from qglrtt.tensor import Mat, Space
 from qglrtt.weights import (
@@ -319,6 +320,20 @@ class TestHighestWeightSeries:
                 1: -(mu * a_s.inverse()),
             }
             assert hw.lam_bar[i - 1] == {0: mu, 1: -(mu.inverse() * a_s)}
+
+    def test_cancelled_mode_leaves_no_zero(self):
+        # the c = 0 step of the eigenvalue test must not store zeros, or
+        # the maximal vector of this product is lost
+        rep = tensor(
+            evaluation_rep("10", parse_weight("10", "+q^1,+q^0"), ONE),
+            evaluation_rep("10", parse_weight("10", "+q^1,+q^1"), -ONE),
+        )
+        hw = highest_weight_series(rep)
+        assert hw is not NO_MAXIMAL_VECTOR and hw.unique
+        assert set(hw.lam[0]) == {0, 2}  # mode 1 cancels
+        assert hw.lam[0][2] == -QScalar.q_power(-2)
+        x = {0: ONE, 3: qscalar_parse("q")}
+        assert vec_add(x, {0: ONE, 5: ONE}, ZERO) == x
 
     def test_direct_sum_flagged_non_unique(self):
         base = evaluation_rep(

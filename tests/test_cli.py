@@ -190,6 +190,26 @@ class TestNormalize:
         assert out == ""
         assert "nesting depth 65 exceeds the cap of 64" in err
 
+    def test_letter_exponent_is_capped(self, capsys):
+        # the default budget grows with the exponent, so the parser bounds it
+        code, data, _ = run_json(
+            capsys, "normalize", "--s", "00", "--element",
+            "tb[1,2] t[2,1]^64 tb[1,1]^-64",
+        )
+        assert code == 0
+        assert len(data["terms"]) == 3
+        for element, e in (
+            ("t[2,1]^65", 65),
+            ("tb[1,1]^-65", -65),
+            ("tb[1,2] t[2,1]^100000", 100000),
+        ):
+            code, out, err = run(
+                capsys, "normalize", "--s", "00", "--element", element
+            )
+            assert code == 2
+            assert out == ""
+            assert "exponent %d exceeds the cap of 64" % e in err
+
 
 class TestBraidVerify:
     def test_single_position(self, capsys):
@@ -707,16 +727,50 @@ class TestGoldenOutput:
                 ["ybe", "--m", "2", "--n", "1"],
                 "8adad0c16cd567fab990a1c34a3cd1acb3e0ee98550d17ea2faa73d0485fa490",
             ),
+            (
+                ["tensor", "--factors", None, "--scan-a=-7..5"],
+                "322c5078a6a453acb365eec6fa91e2a34f299c99c564dac0412df5189936fe19",
+            ),
         ],
         ids=["evalrep", "tensor-verify", "braid-verify", "evalrep-001",
              "module-001-verify", "module-001-half-verify", "module-0011",
              "module-0000-trivial", "module-0000-trivial-cap40",
              "normalize-0011", "normalize-0011-k4", "normalize-0001",
-             "braid-verify-0101", "braid-verify-00101", "ybe-2-1"],
+             "braid-verify-0101", "braid-verify-00101", "ybe-2-1",
+             "tensor-scan"],
     )
     def test_stdout_digest(self, capsys, tmp_path, argv, digest):
         path = write_factors(tmp_path, self.README_FACTORS)
         argv = [path if a is None else a for a in argv]
         code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # tensor products whose certificates are T2 and T3; the digests were
+    # taken before the mode sums of affine.tensor dropped cancelled modes
+    @pytest.mark.parametrize(
+        "factors, flags, digest",
+        [
+            (
+                {"sequence": "00", "factors": [
+                    {"weights": "+q^1,+q^0", "a": "1"},
+                    {"weights": "+q^2,+q^0", "a": "q^3"}]},
+                ["--verify"],
+                "c9c43ff05328fd923fb20df23792e635fc59ed2c0a99f7269997f105e560f42d",
+            ),
+            (
+                {"sequence": "001", "factors": [
+                    {"weights": "+q^2,+q^1,+q^1", "a": "1"},
+                    {"weights": "+q^1,+q^1,+q^0", "a": "q^2"}]},
+                [],
+                "69617015449df8aca81c6d85e97a27429e78b01eafae8462eb87bdac79aee7ee",
+            ),
+        ],
+        ids=["tensor-T2-verify", "tensor-T3"],
+    )
+    def test_tensor_stdout_digest(self, capsys, tmp_path, factors, flags,
+                                  digest):
+        path = write_factors(tmp_path, factors)
+        code, out, _ = run(capsys, "tensor", "--factors", path, *flags)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
