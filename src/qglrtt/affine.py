@@ -573,7 +573,7 @@ def verify_affine_relations(rep, max_failures=10):
                     cell = acc.get((pu + eu, pv + ev))
                     if cell is None:
                         cell = acc[(pu + eu, pv + ev)] = Mat(space)
-                    for (r, c), val in m.entries.items():
+                    for (r, c), val in m.terms.items():
                         cell.add_to(
                             r, c,
                             val if unit > 0 else -val if unit else coeff * val,
@@ -869,7 +869,8 @@ def _ratio_data(hw, b, c):
     Verifies that the ``u^(-1)``-family and ``u``-family determine the
     same rational function (cross-multiplication of the cleared
     polynomials), then returns the coprime pair ``(A, B)`` with
-    ``A/B = lam_bar_b/lam_bar_c``; ``None`` when the families disagree.
+    ``A/B = lam_bar_b/lam_bar_c``, of equal degrees; a :class:`Refusal`
+    when the families disagree or the degrees differ.
     """
     lam_b = hw.lam[b - 1]
     lam_c = hw.lam[c - 1]
@@ -879,9 +880,18 @@ def _ratio_data(hw, b, c):
     pb1 = _dense(hw.lam_bar[b - 1])
     pb2 = _dense(hw.lam_bar[c - 1])
     if not _peq(_pmul(p1, pb2), _pmul(p2, pb1)):
-        return None
+        return Refusal(
+            "the u^(-1)-family and u-family ratios disagree",
+            {"pair": [b, c]},
+        )
     g = _pgcd(pb1, pb2)
-    return _pexactdiv(pb1, g), _pexactdiv(pb2, g)
+    A, B = _pexactdiv(pb1, g), _pexactdiv(pb2, g)
+    if len(A) != len(B):
+        return Refusal(
+            "reduced ratio has unequal degrees",
+            {"pair": [b, c], "deg_num": len(A) - 1, "deg_den": len(B) - 1},
+        )
+    return A, B
 
 
 def _odd_pair_certificate(hw, b, c):
@@ -893,18 +903,10 @@ def _odd_pair_certificate(hw, b, c):
     the returned pair is scaled so ``Qt_0 = 1``.
     """
     rd = _ratio_data(hw, b, c)
-    if rd is None:
-        return Refusal(
-            "the u^(-1)-family and u-family ratios disagree",
-            {"pair": [b, c]},
-        )
+    if isinstance(rd, Refusal):
+        return rd
     A, B = rd
     K = len(A) - 1
-    if len(B) - 1 != K:
-        return Refusal(
-            "reduced ratio has unequal degrees",
-            {"pair": [b, c], "deg_num": K, "deg_den": len(B) - 1},
-        )
     if A[0].is_zero() or B[0].is_zero():
         return Refusal(
             "reduced ratio has a vanishing constant term",
@@ -948,17 +950,9 @@ def _even_pair_certificate(hw, i, j):
     q_i^K``.
     """
     rd = _ratio_data(hw, i, j)
-    if rd is None:
-        return Refusal(
-            "the u^(-1)-family and u-family ratios disagree",
-            {"pair": [i, j]},
-        )
+    if isinstance(rd, Refusal):
+        return rd
     A, B = rd
-    if len(A) != len(B):
-        return Refusal(
-            "reduced ratio has unequal degrees",
-            {"pair": [i, j], "deg_num": len(A) - 1, "deg_den": len(B) - 1},
-        )
     D = hw.denominator
     di = hw.s.d(i)
 

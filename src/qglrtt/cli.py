@@ -304,9 +304,7 @@ def _minimal_vector(rep):
     from .affine import joint_kernel
 
     basis = joint_kernel(rep, raising=False)
-    if len(basis) != 1:
-        return None
-    return {idx: c for idx, c in basis[0].items() if not c.is_zero()}
+    return basis[0] if len(basis) == 1 else None
 
 
 def _certificate(s, hw):

@@ -70,9 +70,6 @@ class RowSpace:
         self.rows[p] = newrow
         return True
 
-    def basis(self):
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
-
 
 def kernel_basis(rows, ncols):
     """Basis of the right kernel of the matrix with the given sparse rows.

@@ -52,10 +52,7 @@ class GeneratorMap:
             return self._letter_power(("tb", a, a), -e)
         img = self.image(kind, a, b)
         if e >= 0:
-            out = AlgebraElement.one(self.target)
-            for _ in range(e):
-                out = out * img
-            return out
+            return img ** e
         # negative powers only on the diagonal, whose image is a monomial
         if len(img.terms) != 1:
             raise ValueError("cannot invert a non-monomial image")

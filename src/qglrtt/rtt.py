@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 from itertools import product
 
 from .parity import ParitySeq
-from .scalars import QONE, QScalar, _Parser, _tokenize, add_term
+from .scalars import QONE, QScalar, SparseSum, _Parser, _tokenize, add_term
 from .tensor import spectral_rmatrix
 
 
@@ -113,6 +113,10 @@ class StraighteningBudgetExceeded(RuntimeError):
     pass
 
 
+# the ceiling of the default straightening budget, in units of work
+_MAX_WORK = 10**6
+
+
 def _product(s, left, right, budget=None):
     """Normal form of sum(left) * sum(right), as {key: coeff}.
 
@@ -133,12 +137,14 @@ def _product(s, left, right, budget=None):
     The budget caps the work: every term that a step hands back to a fold
     counts one unit, one scalar product.  By default it is
     1000 (L + 2)^2 (D + 1), with L the longest left word plus the longest
-    right word and D the largest absolute exponent (at least 1), so
-    runaway rewriting raises in bounded time instead of spinning.
+    right word and D the largest absolute exponent (at least 1), and never
+    more than ``_MAX_WORK``, so runaway rewriting of any input raises in
+    bounded time instead of spinning.
     """
     work = 0
-    # the default budget is at least 8000 and is worked out once passed
-    limit = 8000 if budget is None else budget
+    # the default budget is at least min(8000, _MAX_WORK) and is worked
+    # out once passed
+    limit = min(8000, _MAX_WORK) if budget is None else budget
 
     def fold(terms, letters):
         nonlocal work
@@ -179,7 +185,9 @@ def _product(s, left, right, budget=None):
         if budget is None:
             maxlen = max(map(len, left)) + max(map(len, right))
             maxdeg = max(abs(e) for w in (*left, *right) for _, e in w)
-            budget = limit = 1000 * (maxlen + 2) ** 2 * (max(maxdeg, 1) + 1)
+            budget = limit = min(
+                1000 * (maxlen + 2) ** 2 * (max(maxdeg, 1) + 1), _MAX_WORK
+            )
         if work > budget:
             raise StraighteningBudgetExceeded(
                 "straightening exceeded %d units of work" % budget
@@ -250,18 +258,24 @@ def _normalize(s, words, budget=None):
     return _product(s, {(): QONE}, words, budget)
 
 
-class AlgebraElement:
-    """An element of the superalgebra in PBW normal form."""
+class AlgebraElement(SparseSum):
+    """An element of the superalgebra in PBW normal form.
 
-    __slots__ = ("s", "terms")
+    ``terms`` maps a normal word, a tuple of ``(gen, exp)`` letters, to its
+    nonzero coefficient.
+    """
+
+    __slots__ = ("s",)
 
     def __init__(self, s, terms=None):
         self.s = ParitySeq(s)
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if not v.is_zero():
-                    self.terms[k] = v
+        SparseSum.__init__(self, terms)
+
+    def _context(self):
+        return self.s
+
+    def _like(self, terms):
+        return AlgebraElement(self.s, terms)
 
     # -- constructors
 
@@ -296,16 +310,6 @@ class AlgebraElement:
 
     # -- structure
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.s == other.s
-            and self.terms == other.terms
-        )
-
     def parity(self):
         """Z_2 parity; zero is even, mixed-parity elements raise."""
         par = None
@@ -334,34 +338,16 @@ class AlgebraElement:
 
     # -- arithmetic
 
-    def _check(self, other):
-        if self.s != other.s:
-            raise ValueError("elements belong to different parity sequences")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            add_term(out, k, v)
-        return AlgebraElement(self.s, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraElement(self.s, {k: -v for k, v in self.terms.items()})
-
     def scale(self, c):
         if isinstance(c, int):
             c = QScalar.from_int(c)
-        if c.is_zero():
-            return AlgebraElement.zero(self.s)
-        return AlgebraElement(self.s, {k: c * v for k, v in self.terms.items()})
+        return SparseSum.scale(self, c)
 
     def __mul__(self, other):
         if isinstance(other, (int, QScalar)):
             return self.scale(other)
-        self._check(other)
+        if self.s != other.s:
+            raise ValueError("elements belong to different parity sequences")
         return AlgebraElement(self.s, _product(self.s, self.terms, other.terms))
 
     def __rmul__(self, other):
@@ -517,7 +503,7 @@ def _rmatrix_tables(bits):
     N = len(bits)
     rows, cols = {}, {}
     for expo, m in spectral_rmatrix(bits).terms.items():
-        for (r, c), v in m.entries.items():
+        for (r, c), v in m.terms.items():
             (i, k), (a, b) = divmod(r, N), divmod(c, N)
             rows.setdefault((i + 1, k + 1), []).append((expo, a + 1, b + 1, v))
             cols.setdefault((a + 1, b + 1), []).append((expo, i + 1, k + 1, v))

@@ -600,6 +600,67 @@ def add_term(terms, key, value):
             terms[key] = total
 
 
+class SparseSum:
+    """A sparse sum ``{key: value}`` over one context that never holds a zero.
+
+    Normal forms, matrices and matrix series are such sums; a subclass
+    supplies only its context (``_context``: a parity sequence, a space)
+    and a sum of its own type and context (``_like(terms)``).  Zeros are
+    dropped on construction and :func:`add_term` keeps them out, so equal
+    sums compare equal.  ``copy`` is shallow: it shares the stored values,
+    which is safe because ``add_term`` never mutates a stored value (it
+    rebinds ``cur + value``).  ``Mat.add_to`` and ``Mat.set`` do mutate a
+    matrix; no library code calls them on a value taken from another sum.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for k, v in terms.items():
+                if not v.is_zero():
+                    self.terms[k] = v
+
+    def is_zero(self):
+        return not self.terms
+
+    def copy(self):
+        out = self._like(None)
+        out.terms = dict(self.terms)
+        return out
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._context() == other._context()
+            and self.terms == other.terms
+        )
+
+    def __add__(self, other):
+        if self._context() != other._context():
+            raise ValueError(
+                "cannot add sums over %r and %r"
+                % (self._context(), other._context())
+            )
+        out = self.copy()
+        for k, v in other.terms.items():
+            add_term(out.terms, k, v)
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def scale(self, c):
+        """Every value times the scalar ``c``."""
+        if c.is_zero():
+            return self._like(None)
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+
 # ---------------------------------------------------------------------------
 # Expression parser for Q(q)
 

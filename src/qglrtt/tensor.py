@@ -9,7 +9,7 @@ homogeneous A, B:  (A (x) B)(v (x) w) = (-1)^{|B||v|} Av (x) Bw.
 from __future__ import annotations
 
 from .parity import ParitySeq
-from .scalars import QScalar, QZERO, QONE, Q, add_term
+from .scalars import QScalar, QZERO, QONE, Q, SparseSum, add_term
 
 
 class Space:
@@ -53,18 +53,23 @@ class Space:
         return "Space(%r)" % (self.parities,)
 
 
-class Mat:
-    """A sparse matrix over Q(q) acting on a graded space (0-based indices)."""
+class Mat(SparseSum):
+    """A sparse matrix over Q(q) acting on a graded space (0-based indices).
 
-    __slots__ = ("space", "entries")
+    ``terms`` maps ``(row, col)`` to a nonzero scalar.
+    """
 
-    def __init__(self, space, entries=None):
+    __slots__ = ("space",)
+
+    def __init__(self, space, terms=None):
         self.space = space
-        self.entries = {}
-        if entries:
-            for k, v in entries.items():
-                if not v.is_zero():
-                    self.entries[k] = v
+        SparseSum.__init__(self, terms)
+
+    def _context(self):
+        return self.space
+
+    def _like(self, terms):
+        return Mat(self.space, terms)
 
     @staticmethod
     def identity(space):
@@ -74,59 +79,24 @@ class Mat:
     def zero(space):
         return Mat(space)
 
-    def copy(self):
-        m = Mat(self.space)
-        m.entries = dict(self.entries)
-        return m
-
     def __getitem__(self, rc):
-        return self.entries.get(rc, QZERO)
+        return self.terms.get(rc, QZERO)
 
     def set(self, r, c, v):
         if v.is_zero():
-            self.entries.pop((r, c), None)
+            self.terms.pop((r, c), None)
         else:
-            self.entries[(r, c)] = v
+            self.terms[(r, c)] = v
 
     def add_to(self, r, c, v):
-        add_term(self.entries, (r, c), v)
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.space == other.space
-            and self.entries == other.entries
-        )
-
-    def __add__(self, other):
-        out = self.copy()
-        for (r, c), v in other.entries.items():
-            out.add_to(r, c, v)
-        return out
-
-    def __sub__(self, other):
-        out = self.copy()
-        for (r, c), v in other.entries.items():
-            out.add_to(r, c, -v)
-        return out
-
-    def __neg__(self):
-        return Mat(self.space, {k: -v for k, v in self.entries.items()})
-
-    def scale(self, c):
-        if c.is_zero():
-            return Mat(self.space)
-        return Mat(self.space, {k: c * v for k, v in self.entries.items()})
+        add_term(self.terms, (r, c), v)
 
     def __matmul__(self, other):
         by_row = {}
-        for (r, c), v in other.entries.items():
+        for (r, c), v in other.terms.items():
             by_row.setdefault(r, []).append((c, v))
         out = Mat(self.space)
-        for (r, k), a in self.entries.items():
+        for (r, k), a in self.terms.items():
             hits = by_row.get(k)
             if hits:
                 for c, b in hits:
@@ -134,22 +104,22 @@ class Mat:
         return out
 
     def map_entries(self, f):
-        return Mat(self.space, {k: f(v) for k, v in self.entries.items()})
+        return Mat(self.space, {k: f(v) for k, v in self.terms.items()})
 
     def apply(self, vec):
         """Apply to a sparse column vector {index: scalar}."""
         out = {}
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self.terms.items():
             a = vec.get(c)
             if a is not None:
                 add_term(out, r, v * a)
         return out
 
     def nonzero_cells(self):
-        return sorted(self.entries)
+        return sorted(self.terms)
 
     def __repr__(self):
-        return "Mat(dim=%d, nnz=%d)" % (self.space.dim, len(self.entries))
+        return "Mat(dim=%d, nnz=%d)" % (self.space.dim, len(self.terms))
 
 
 def graded_kron(a: Mat, b: Mat) -> Mat:
@@ -162,9 +132,9 @@ def graded_kron(a: Mat, b: Mat) -> Mat:
     sa, sb = a.space, b.space
     out = Mat(sa.tensor(sb))
     db = sb.dim
-    for (i, k), av in a.entries.items():
+    for (i, k), av in a.terms.items():
         pk = sa.parity(k)
-        for (j, l), bv in b.entries.items():
+        for (j, l), bv in b.terms.items():
             sign = -1 if pk and (sb.parity(j) + sb.parity(l)) % 2 else 1
             v = av * bv
             if sign < 0:
@@ -234,7 +204,7 @@ def rmatrix_tilde_q_inverse(s) -> Mat:
     return rmatrix_tilde(s).map_entries(lambda x: x.subs_q_inverse())
 
 
-class SeriesMat:
+class SeriesMat(SparseSum):
     """A matrix-valued Laurent polynomial in several formal variables.
 
     Stored as {exponent tuple: Mat}; multiplication adds exponent tuples
@@ -242,36 +212,21 @@ class SeriesMat:
     on a common space and the variables are central).
     """
 
-    __slots__ = ("nvars", "space", "terms")
+    __slots__ = ("nvars", "space")
 
     def __init__(self, nvars, space, terms=None):
         self.nvars = nvars
         self.space = space
-        self.terms = {}
-        if terms:
-            for e, m in terms.items():
-                if not m.is_zero():
-                    self.terms[tuple(e)] = m
+        SparseSum.__init__(self, terms)
 
-    def copy(self):
-        out = SeriesMat(self.nvars, self.space)
-        out.terms = {e: m.copy() for e, m in self.terms.items()}
-        return out
+    def _context(self):
+        return self.nvars, self.space
+
+    def _like(self, terms):
+        return SeriesMat(self.nvars, self.space, terms)
 
     def add_term(self, expo, mat):
         add_term(self.terms, tuple(expo), mat)
-
-    def __add__(self, other):
-        out = self.copy()
-        for e, m in other.terms.items():
-            out.add_term(e, m)
-        return out
-
-    def __sub__(self, other):
-        out = self.copy()
-        for e, m in other.terms.items():
-            out.add_term(e, -m)
-        return out
 
     def __matmul__(self, other):
         out = SeriesMat(self.nvars, self.space)
@@ -280,9 +235,6 @@ class SeriesMat:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out.add_term(e, m1 @ m2)
         return out
-
-    def is_zero(self):
-        return not self.terms
 
     def nonzero_report(self, varnames):
         out = []

@@ -713,7 +713,7 @@ def _word_matrix(rep, key):
         base = rep.matrices[g]
         if g[1] == g[2]:
             P = Mat(rep.space)
-            for (r, c), v in base.entries.items():
+            for (r, c), v in base.terms.items():
                 P.set(r, c, v**e)
             M = M @ P
         else:

@@ -210,6 +210,22 @@ class TestNormalize:
             assert out == ""
             assert "exponent %d exceeds the cap of 64" % e in err
 
+    def test_default_budget_has_a_ceiling(self, capsys, monkeypatch):
+        # the word takes 42,433 units, below the default formula's 272,000,
+        # so only the ceiling refuses it
+        from qglrtt import rtt
+
+        monkeypatch.setattr(rtt, "_MAX_WORK", 1000)
+        element = "tb[1,3]^16 t[3,1]^16"
+        code, data, _ = run_json(
+            capsys, "normalize", "--s", "000", "--element", element
+        )
+        assert code == 1
+        assert data == {
+            "error": "straightening exceeded 1000 units of work",
+            "input": element,
+        }
+
 
 class TestBraidVerify:
     def test_single_position(self, capsys):

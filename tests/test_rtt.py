@@ -464,10 +464,31 @@ def test_products_preserve_weight_homogeneity():
 # --- Drinfeld-Jimbo relations -------------------------------------------------
 
 
-@pytest.mark.parametrize("bits", ["01", "10", "00", "001", "010", "100", "011"])
+@pytest.mark.parametrize(
+    "bits", ["01", "10", "00", "001", "010", "100", "011", "0101", "1010"]
+)
 def test_dj_relations(bits):
     report = check_dj_relations(ParitySeq(bits))
     assert report["pass"], report["failures"][:3]
+
+
+def test_degree_four_serre_relation_detects_a_wrong_coefficient():
+    # 0101 has an isotropic simple root at i = 2 with 2 <= i <= N - 2, so
+    # check_dj_relations checks the degree-four relation there; with
+    # q_i^-1 in place of q_i in the inner bracket it no longer holds
+    s = ParitySeq("0101")
+    i = 2
+    for dj_x in (dj_x_plus, dj_x_minus):
+        x = {j: dj_x(s, j) for j in (i - 1, i, i + 1)}
+
+        def residual(a):
+            inner = super_bracket(x[i - 1], x[i], a)
+            return super_bracket(
+                super_bracket(inner, x[i + 1], s.q_i(i + 1)), x[i]
+            )
+
+        assert residual(s.q_i(i)).is_zero()
+        assert len(residual(s.q_i(i).inverse()).terms) == 2
 
 
 def test_dj_cartan_pairing_explicit():

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qglrtt.rtt import AlgebraElement
 from qglrtt.scalars import (
     Laurent,
     Q,
     QScalar,
     ScalarParseError,
+    add_term,
     poly_exact_div,
     poly_gcd,
     qscalar_parse,
 )
+from qglrtt.tensor import Mat, SeriesMat, Space
 
 
 # ---------------------------------------------------------------------------
@@ -367,3 +370,64 @@ def test_parser_refuses_past_the_caps(within_caps, text, message):
     with pytest.raises(ScalarParseError, match=message.replace("^", r"\^")):
         qscalar_parse(text)
 
+
+
+# ---------------------------------------------------------------------------
+# the zero-free sparse sums built on SparseSum
+
+
+def _series(ctx, ints):
+    nvars, space = ctx
+    return SeriesMat(
+        nvars,
+        space,
+        {e: Mat(space, {(0, 0): QScalar.from_int(n)}) for e, n in ints.items()},
+    )
+
+
+# name: (sum over a context from {key: int}, two contexts, two keys)
+SPARSE_SUMS = {
+    "AlgebraElement": (
+        lambda s, ints: AlgebraElement(
+            s, {k: QScalar.from_int(n) for k, n in ints.items()}
+        ),
+        ("01", "10"),
+        (((("t", 2, 1), 1),), ()),
+    ),
+    "Mat": (
+        lambda space, ints: Mat(
+            space, {k: QScalar.from_int(n) for k, n in ints.items()}
+        ),
+        (Space((0, 1)), Space((0, 0))),
+        ((0, 1), (1, 1)),
+    ),
+    "SeriesMat": (
+        _series,
+        ((2, Space((0, 1))), (2, Space((0, 0)))),
+        ((1, 0), (0, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "make, contexts, keys", SPARSE_SUMS.values(), ids=list(SPARSE_SUMS)
+)
+def test_sparse_sum_contract(make, contexts, keys):
+    ctx, other = contexts
+    k1, k2 = keys
+    # a zero value is dropped on construction
+    x = make(ctx, {k1: 2, k2: 0})
+    assert list(x.terms) == [k1]
+    zero = make(ctx, {})
+    assert zero.is_zero() and not x.is_zero()
+    assert x + (-x) == zero
+    assert x - x == zero
+    assert x != make(other, {k1: 2})
+    with pytest.raises(ValueError):
+        x + make(other, {k1: 1})
+    # a copy shares no dict with the original
+    y = x.copy()
+    for k, v in make(ctx, {k1: -2, k2: 3}).terms.items():
+        add_term(y.terms, k, v)
+    assert list(y.terms) == [k2]
+    assert x == make(ctx, {k1: 2})

@@ -59,7 +59,7 @@ def test_rmatrix_01_matches_tabulated_entries():
     assert R[(1 * n + 0, 1 * n + 0)] == QScalar.one()
     assert R[(1 * n + 1, 1 * n + 1)] == qscalar_parse("q^-1")
     assert R[(1 * n + 0, 0 * n + 1)] == qscalar_parse("q - q^-1")
-    assert len(R.entries) == 5
+    assert len(R.terms) == 5
 
 
 def test_rtilde_two_characterisations():
