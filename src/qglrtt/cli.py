@@ -21,9 +21,11 @@ WEIGHT_HELP = (
     "it with '=', as in --weights=-q^1,+q^0"
 )
 
-#: Largest m + n that ``ybe`` accepts.  Its work roughly triples with each
-#: extra index; (3|3), the costliest size accepted, takes a few seconds.
-YBE_MAX_INDICES = 6
+#: Largest number of indices, m + n, that any command accepts.  The work of
+#: ``ybe`` and ``braid-verify`` roughly triples with each extra index, and
+#: the straightening tables grow with its square; ``ybe`` on (3|3), the
+#: costliest size accepted, takes a few seconds.
+MAX_INDICES = 6
 
 
 class UsageError(Exception):
@@ -47,9 +49,14 @@ def _parse_sequence(text):
     from .parity import ParitySeq
 
     try:
-        return ParitySeq(text)
+        s = ParitySeq(text)
     except (ValueError, TypeError) as exc:
         raise UsageError("invalid parity sequence %r: %s" % (text, exc))
+    if s.N > MAX_INDICES:
+        raise UsageError(
+            "a parity sequence has at most %d indices, got %d" % (MAX_INDICES, s.N)
+        )
+    return s
 
 
 def _parse_weight_arg(s, text):
@@ -103,9 +110,9 @@ def cmd_ybe(args):
 
     if args.m < 0 or args.n < 0 or args.m + args.n < 1:
         raise UsageError("need --m, --n >= 0 with m + n >= 1")
-    if args.m + args.n > YBE_MAX_INDICES:
+    if args.m + args.n > MAX_INDICES:
         raise UsageError(
-            "m + n is at most %d, got %d" % (YBE_MAX_INDICES, args.m + args.n)
+            "m + n is at most %d, got %d" % (MAX_INDICES, args.m + args.n)
         )
     reports = []
     all_pass = True
@@ -494,7 +501,7 @@ def _build_parser():
     p.add_argument("--m", type=int, required=True, help="number of 0 parities")
     p.add_argument(
         "--n", type=int, required=True,
-        help="number of 1 parities (m + n at most %d)" % YBE_MAX_INDICES,
+        help="number of 1 parities (m + n at most %d)" % MAX_INDICES,
     )
     p.add_argument(
         "--no-spectral", action="store_true",

@@ -26,7 +26,7 @@ import re
 from functools import lru_cache, partial
 from itertools import product
 
-from .parity import ParitySeq
+from .parity import ParitySeq, bilinear_form
 from .scalars import QONE, QScalar, SparseSum, _Parser, _tokenize, add_term
 from .tensor import spectral_rmatrix
 
@@ -64,6 +64,18 @@ def _slot(gen):
 
 def _letter_text(gen, e):
     return "%s[%d,%d]%s" % (gen[0], gen[1], gen[2], "" if e == 1 else "^%d" % e)
+
+
+def _check_letter(s, kind, i, j, e):
+    """Raise ValueError unless kind[i,j]^e is a generator power over s."""
+    if kind not in ("t", "tb"):
+        raise ValueError("generator kind must be 't' or 'tb'")
+    if not (1 <= i <= s.N and 1 <= j <= s.N):
+        raise ValueError("index out of range in %s[%d,%d]" % (kind, i, j))
+    if i < j if kind == "t" else i > j:
+        raise ValueError("%s[%d,%d] is not a generator" % (kind, i, j))
+    if e < 0 and i != j:
+        raise ValueError("only diagonal generators admit negative exponents")
 
 
 def pbw_generator_order(s):
@@ -113,7 +125,7 @@ class StraighteningBudgetExceeded(RuntimeError):
     pass
 
 
-# the ceiling of the default straightening budget, in units of work
+# the default budget of one straightening product, in units of work
 _MAX_WORK = 10**6
 
 
@@ -135,16 +147,12 @@ def _product(s, left, right, budget=None):
     changes the work and never the result.
 
     The budget caps the work: every term that a step hands back to a fold
-    counts one unit, one scalar product.  By default it is
-    1000 (L + 2)^2 (D + 1), with L the longest left word plus the longest
-    right word and D the largest absolute exponent (at least 1), and never
-    more than ``_MAX_WORK``, so runaway rewriting of any input raises in
-    bounded time instead of spinning.
+    counts one unit, one scalar product.  It defaults to ``_MAX_WORK`` for
+    the whole product, so runaway rewriting of any input raises in bounded
+    time instead of spinning.
     """
     work = 0
-    # the default budget is at least min(8000, _MAX_WORK) and is worked
-    # out once passed
-    limit = min(8000, _MAX_WORK) if budget is None else budget
+    limit = _MAX_WORK if budget is None else budget
 
     def fold(terms, letters):
         nonlocal work
@@ -172,26 +180,15 @@ def _product(s, left, right, budget=None):
                     for key, c2 in out.items():
                         add_term(into, key, c * c2)
                 if work > limit:
-                    over_budget()
+                    raise StraighteningBudgetExceeded(
+                        "straightening exceeded %d units of work" % limit
+                    )
                 terms = moving
                 e -= 1
             for key, c in terms.items():
                 add_term(done, key, c)
             terms = done
         return terms
-
-    def over_budget():
-        nonlocal budget, limit
-        if budget is None:
-            maxlen = max(map(len, left)) + max(map(len, right))
-            maxdeg = max(abs(e) for w in (*left, *right) for _, e in w)
-            budget = limit = min(
-                1000 * (maxlen + 2) ** 2 * (max(maxdeg, 1) + 1), _MAX_WORK
-            )
-        if work > budget:
-            raise StraighteningBudgetExceeded(
-                "straightening exceeded %d units of work" % budget
-            )
 
     def step(word, g, e, slot):
         """word * g^e for a letter that moves left or merges with word[-1]."""
@@ -290,16 +287,7 @@ class AlgebraElement(SparseSum):
     @staticmethod
     def generator(s, kind, i, j, exp=1):
         s = ParitySeq(s)
-        if kind not in ("t", "tb"):
-            raise ValueError("generator kind must be 't' or 'tb'")
-        if not (1 <= i <= s.N and 1 <= j <= s.N):
-            raise ValueError("generator index out of range")
-        if kind == "t" and i < j:
-            raise ValueError("t[%d,%d] is not a generator (need row >= col)" % (i, j))
-        if kind == "tb" and i > j:
-            raise ValueError("tb[%d,%d] is not a generator (need row <= col)" % (i, j))
-        if exp < 0 and i != j:
-            raise ValueError("only diagonal generators are invertible")
+        _check_letter(s, kind, i, j, exp)
         return AlgebraElement.from_word(s, [((kind, i, j), exp)])
 
     @staticmethod
@@ -697,13 +685,8 @@ def check_dj_relations(s, max_failures=10):
 
     def alpha_pairing(i, j):
         # (alpha_i | alpha_j) with alpha_i = eps_i - eps_{i+1}
-        v = [0] * N
-        v[i - 1] += 1
-        v[i] -= 1
-        w = [0] * N
-        w[j - 1] += 1
-        w[j] -= 1
-        return sum(s.d(t + 1) * v[t] * w[t] for t in range(N))
+        v, w = ([(t == k) - (t == k + 1) for t in range(1, N + 1)] for k in (i, j))
+        return bilinear_form(s, v, w)
 
     xs_p = {i: dj_x_plus(s, i) for i in range(1, N)}
     xs_m = {i: dj_x_minus(s, i) for i in range(1, N)}
@@ -820,20 +803,11 @@ def _element_tokens(s, text):
     for m in _LETTER_RE.finditer(text):
         kind, i, j = m.group(1), int(m.group(2)), int(m.group(3))
         e = int(m.group(4) or 1)
-        if kind == "t" and i < j:
-            raise ElementParseError("t[%d,%d] is not a generator" % (i, j))
-        if kind == "tb" and i > j:
-            raise ElementParseError("tb[%d,%d] is not a generator" % (i, j))
-        if e < 0 and i != j:
-            raise ElementParseError(
-                "only diagonal generators admit negative exponents"
-            )
+        _check_letter(s, kind, i, j, e)
         if abs(e) > _Parser.MAX_EXPONENT:
-            raise ElementParseError(
+            raise ValueError(
                 "exponent %d exceeds the cap of %d" % (e, _Parser.MAX_EXPONENT)
             )
-        if not (1 <= i <= s.N and 1 <= j <= s.N):
-            raise ElementParseError("index out of range in %s" % m.group(0))
         toks += _tokenize(text[pos : m.start()])
         toks.append(((kind, i, j), e))
         pos = m.end()
@@ -884,7 +858,8 @@ def parse_element(s, text):
     ``^e``, and coefficient atoms: integers and parenthesised scalar
     expressions (see :func:`~qglrtt.scalars.qscalar_parse`, whose caps bound
     the product of a term's atoms).  '*' between factors is optional.  The
-    whole text is parsed before any term is straightened.
+    whole text is parsed first; equal words then merge, and all of them are
+    straightened together under one budget.
     """
     s = ParitySeq(s)
     try:
@@ -893,7 +868,7 @@ def parse_element(s, text):
         raise ElementParseError(str(exc)) from None
     if not terms:
         raise ElementParseError("no terms found")
-    total = AlgebraElement.zero(s)
+    words = {}
     for letters, coeff in terms:
-        total = total + AlgebraElement.from_word(s, letters, coeff)
-    return total
+        add_term(words, tuple(letters), coeff)
+    return AlgebraElement(s, _normalize(s, words))

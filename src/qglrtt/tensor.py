@@ -281,14 +281,13 @@ def ybe_residual_constant(s, R=None):
     return (r12 @ r13 @ r23) - (r23 @ r13 @ r12)
 
 
-def ybe_residual_spectral(s, R=None, Rt=None):
+def ybe_residual_spectral(s):
     """Residual of R12(u,v) R13(u,w) R23(v,w) = R23(v,w) R13(u,w) R12(u,v).
 
     Returned as a SeriesMat in the monomials u^a v^b w^c.
     """
     s = ParitySeq(s)
-    R = rmatrix(s) if R is None else R
-    Rt = rmatrix_tilde(s) if Rt is None else Rt
+    R, Rt = rmatrix(s), rmatrix_tilde(s)
     # R_ab(x, y) = x R_ab - y R~_ab in the variables (u, v), (u, w), (v, w)
     monomials = [((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)),
                  ((0, 1, 0), (0, 0, 1))]

@@ -191,7 +191,8 @@ class TestNormalize:
         assert "nesting depth 65 exceeds the cap of 64" in err
 
     def test_letter_exponent_is_capped(self, capsys):
-        # the default budget grows with the exponent, so the parser bounds it
+        # the parser bounds the exponent, so that a long power word is
+        # refused before any straightening starts
         code, data, _ = run_json(
             capsys, "normalize", "--s", "00", "--element",
             "tb[1,2] t[2,1]^64 tb[1,1]^-64",
@@ -211,8 +212,8 @@ class TestNormalize:
             assert "exponent %d exceeds the cap of 64" % e in err
 
     def test_default_budget_has_a_ceiling(self, capsys, monkeypatch):
-        # the word takes 42,433 units, below the default formula's 272,000,
-        # so only the ceiling refuses it
+        # the word takes 42,433 units, so the patched default budget of
+        # 1,000 refuses it
         from qglrtt import rtt
 
         monkeypatch.setattr(rtt, "_MAX_WORK", 1000)
@@ -225,6 +226,42 @@ class TestNormalize:
             "error": "straightening exceeded 1000 units of work",
             "input": element,
         }
+
+    # tb[1,3]^12 t[3,1]^12 takes 14,561 units of work, and ^10 7,481
+    WORD_12, WORD_10 = "tb[1,3]^12 t[3,1]^12", "tb[1,3]^10 t[3,1]^10"
+
+    def test_terms_share_one_budget(self, capsys, monkeypatch):
+        # either term fits 20,000 units alone, and both together do not
+        from qglrtt import rtt
+
+        monkeypatch.setattr(rtt, "_MAX_WORK", 20000)
+        element = self.WORD_12 + " + " + self.WORD_10
+        code, data, _ = run_json(
+            capsys, "normalize", "--s", "000", "--element", element
+        )
+        assert code == 1
+        assert data == {
+            "error": "straightening exceeded 20000 units of work",
+            "input": element,
+        }
+
+    @pytest.mark.parametrize("sign, count", [("+", 91), ("-", 0)])
+    def test_equal_words_merge_before_straightening(
+        self, capsys, monkeypatch, sign, count
+    ):
+        # a repeated word is straightened once; a cancelled one is not
+        # straightened at all, and the product of no words is zero
+        from qglrtt import rtt
+
+        monkeypatch.setattr(rtt, "_MAX_WORK", 20000)
+        element = "%s %s %s" % (self.WORD_12, sign, self.WORD_12)
+        code, data, _ = run_json(
+            capsys, "normalize", "--s", "000", "--element", element
+        )
+        assert code == 0
+        assert len(data["terms"]) == count
+        if not count:
+            assert data["normal_form"] == "0"
 
 
 class TestBraidVerify:
@@ -537,6 +574,36 @@ class TestPlumbing:
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        ["normalize", "classify", "module", "evalrep", "braid-verify", "tensor"],
+    )
+    def test_every_command_caps_the_indices(self, capsys, tmp_path, command):
+        # seven indices are refused before any work; six are accepted
+        weights = lambda s: ",".join(["+q^0"] * len(s))
+        s = "0101010"
+        argv = {
+            "normalize": ["--s", s, "--element", "tb[1,2] t[2,1]"],
+            "braid-verify": ["--s", s],
+            "tensor": [
+                "--factors",
+                write_factors(
+                    tmp_path,
+                    {"sequence": s, "factors": [{"weights": weights(s)}] * 2},
+                ),
+            ],
+        }.get(command, ["--s", s, "--weights", weights(s)])
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert "at most 6 indices, got 7" in err
+        if command == "classify":
+            code, data, _ = run_json(
+                capsys, command, "--s", s[:6], "--weights", weights(s[:6])
+            )
+            assert code == 0
+            assert data["finite"] is True
 
     @pytest.mark.parametrize(
         "argv, code, allowed",

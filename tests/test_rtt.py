@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from itertools import product
 
 import pytest
@@ -545,15 +546,22 @@ def test_parse_element_roundtrip():
 
 
 def test_parse_element_rejects_bad_input():
+    # the library constructor and the parser apply the same letter rules
     s = ParitySeq("01")
-    with pytest.raises(ElementParseError):
-        parse_element(s, "t[1,2]")  # upper index on t
-    with pytest.raises(ElementParseError):
-        parse_element(s, "tb[2,1]")
-    with pytest.raises(ElementParseError):
-        parse_element(s, "t[2,1]^-1")
-    with pytest.raises(ElementParseError):
-        parse_element(s, "t[3,1]")  # out of range
+    for kind, i, j, e, message in [
+        ("t", 1, 2, 1, "t[1,2] is not a generator"),  # upper index on t
+        ("tb", 2, 1, 1, "tb[2,1] is not a generator"),
+        ("t", 2, 1, -1, "only diagonal generators admit negative exponents"),
+        ("t", 3, 1, 1, "index out of range in t[3,1]"),
+        ("tb", 0, 1, 1, "index out of range in tb[0,1]"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AlgebraElement.generator(s, kind, i, j, e)
+        with pytest.raises(ElementParseError, match=re.escape(message)):
+            parse_element(s, "%s[%d,%d]^%d" % (kind, i, j, e))
+    # the element grammar has no other letter kind to misspell
+    with pytest.raises(ValueError, match="kind must be 't' or 'tb'"):
+        AlgebraElement.generator(s, "x", 1, 1)
     with pytest.raises(ElementParseError):
         parse_element(s, "")
 
@@ -576,9 +584,7 @@ def test_parse_element_arithmetic_errors_are_parse_errors():
 def test_parse_element_rejects_before_straightening(monkeypatch):
     # a malformed later term is reported before any term is straightened
     calls = []
-    monkeypatch.setattr(
-        AlgebraElement, "from_word", staticmethod(lambda *a: calls.append(a))
-    )
+    monkeypatch.setattr(rtt, "_normalize", lambda *a: calls.append(a))
     with pytest.raises(ElementParseError):
         parse_element("01", "t[2,1] tb[1,2] + q")
     assert calls == []
