@@ -24,8 +24,8 @@ from math import lcm
 from .linalg import RowSpace, kernel_basis, vec_add
 from .parity import ParitySeq
 from .rtt import relation_expansion, varsigma
-from .scalars import QScalar, add_term
-from .tensor import Mat, SeriesMat, graded_kron
+from .scalars import Laurent, QScalar, add_term, poly_exact_div, poly_gcd
+from .tensor import Mat, graded_kron
 from .weights import (
     DID_NOT_STABILIZE,
     HWeight,
@@ -457,6 +457,38 @@ def tensor(rep1, rep2):
 # ---------------------------------------------------------------------------
 
 
+def _digit_bits(bound):
+    """The width B with 2^(B-1) > ``bound``.
+
+    An integer polynomial with coefficients at most ``bound`` in absolute
+    value is then zero exactly when its value at 2^B is, and its
+    coefficients are the signed base-2^B digits of that value.
+    """
+    return bound.bit_length() + 1
+
+
+def _cleared_modes(rep):
+    """Every mode entry times x^K L, an integer polynomial in x = q^(1/D).
+
+    Each entry denominator is x^k d with d(0) != 0; L is the lcm of the d,
+    integer content included, and x^K the largest x^k.  Returns ``(modes,
+    K, L)`` with ``modes[kind, i, j] = [(r, {(row, col): Laurent}), ...]``.
+    """
+    mats = list(rep.all_mode_matrices())
+    dens = {v.den for *_, m in mats for v in m.terms.values()}
+    K = max((d.low for d in dens), default=0)
+    L = Laurent.one()
+    for d in {d.shift(-d.low) for d in dens} - {L}:
+        L = poly_exact_div(L * d, poly_gcd(L, d))
+    cof = {d: poly_exact_div(L, d.shift(-d.low)).shift(K - d.low)
+           for d in dens}
+    modes = {}
+    for kind, i, j, r, m in mats:
+        modes.setdefault((kind, i, j), []).append(
+            (r, {rc: v.num * cof[v.den] for rc, v in m.terms.items()}))
+    return modes, K, L
+
+
 def verify_affine_relations(rep, max_failures=10):
     """Exact check of the defining relations on a mode-matrix family.
 
@@ -476,9 +508,21 @@ def verify_affine_relations(rep, max_failures=10):
 
     and a failure at instance (i, j, k, l) reports entry ((i,k),(j,l))
     times -(-1)^{(|k|+|l|)|i|} (:func:`qglrtt.rtt.relation_expansion`).
-    Returns
-    ``{"pass", "checked", "failure_count", "failures"}`` with at most
-    ``max_failures`` located failures.
+
+    The quadratic identities are evaluated on integers (Kronecker
+    substitution).  Entries times x^K L (:func:`_cleared_modes`) and
+    relation coefficients times x^Kc are integer polynomials in x, so a
+    residual is the true one times x^(2K+Kc) L^2.  Each is split by
+    x-exponent residue mod D and each class packed as its value at
+    q = 2^B; residues that sum past D carry one q, a shift by B bits.
+    With C the largest sum of coefficient 1-norms in one instance, n the
+    dimension and a the largest 1-norm of an entry, no residual coefficient
+    exceeds C n a^2 < 2^(B-1) (:func:`_digit_bits`), so the check is a
+    proof and a failure's value is decoded from its signed digits.
+
+    Returns ``{"pass", "checked", "failure_count", "failures",
+    "truncated"}``.  The checks stop at the ``max_failures``-th failure;
+    ``truncated`` says whether they did.
     """
     s = rep.s
     N = s.N
@@ -486,7 +530,6 @@ def verify_affine_relations(rep, max_failures=10):
     space = rep.space
     failures = []
     checked = 0
-    truncated = False
 
     def record(fail):
         failures.append(fail)
@@ -504,89 +547,113 @@ def verify_affine_relations(rep, max_failures=10):
     ident = Mat.identity(space)
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            if i < j:
+            if i != j:
+                kind = "t" if i < j else "tb"
                 checked += 1
-                if not rep.mode("t", i, j, 0).is_zero():
-                    truncated = record(
-                        {"relation": "mode-zero-triangularity",
-                         "kind": "t", "i": i, "j": j}
-                    )
-            if i > j:
-                checked += 1
-                if not rep.mode("tb", i, j, 0).is_zero():
-                    truncated = record(
-                        {"relation": "mode-zero-triangularity",
-                         "kind": "tb", "i": i, "j": j}
-                    )
+                if not rep.mode(kind, i, j, 0).is_zero() and record(
+                    {"relation": "mode-zero-triangularity",
+                     "kind": kind, "i": i, "j": j}
+                ):
+                    return report(True)
     for i in range(1, N + 1):
         checked += 1
         t0 = rep.mode("t", i, i, 0)
         b0 = rep.mode("tb", i, i, 0)
-        if not ((t0 @ b0) == ident and (b0 @ t0) == ident):
-            truncated = record(
-                {"relation": "mode-zero-diagonal", "i": i}
-            )
-    if truncated:
-        return report(True)
+        if not ((t0 @ b0) == ident and (b0 @ t0) == ident) and record(
+            {"relation": "mode-zero-diagonal", "i": i}
+        ):
+            return report(True)
 
-    series_cache = {}
+    modes, K, L = _cleared_modes(rep)
+    # the relation coefficients are Laurent in q, so x^Kc clears them
+    stretched = [(idx, [(c.stretch(D), e, x, y) for c, e, x, y in terms])
+                 for idx, terms in relation_expansion(s).items()]
+    Kc = max(c.den.low for _, terms in stretched for c, *_ in terms)
+    C = max(sum(sum(map(abs, c.num.coeffs)) for c, *_ in terms)
+            for _, terms in stretched)
+    a = max((sum(map(abs, p.coeffs)) for ser in modes.values()
+             for _, m in ser for p in m.values()), default=0)
+    bits = _digit_bits(C * space.dim * a * a)
 
-    def gamma_series(kind, var, i, j):
-        key = (kind, var, i, j)
-        sm = series_cache.get(key)
-        if sm is None:
-            sm = SeriesMat(2, space)
-            sgn = -1 if kind == "t" else 1
-            for r, m in rep.mode_series(kind, i, j).items():
-                expo = [0, 0]
-                expo[var] = sgn * r
-                sm.add_term(tuple(expo), m)
-            series_cache[key] = sm
-        return sm
+    def pack(p):
+        """``{residue: packed class}`` of an integer polynomial in x."""
+        out = {}
+        for k, c in enumerate(p.coeffs, p.offset):
+            if c:
+                e, res = divmod(k, D)
+                out[res] = out.get(res, 0) + (c << bits * e)
+        return out
+
+    # each mode matrix as {row: [(col, residue, packed), ...]}
+    letters = {}
+    for (kind, i, j), ser in modes.items():
+        for r, m in ser:
+            rows = {}
+            for (row, col), p in m.items():
+                rows.setdefault(row, []).extend(
+                    (col, res, v) for res, v in pack(p).items())
+            letters.setdefault((kind, i, j), []).append(
+                (-r if kind == "t" else r, rows))
 
     prod_cache = {}
 
     def pair_product(x, y):
+        """``{(u-exp, v-exp): {(row, col, residue): packed}}`` of x y."""
         p = prod_cache.get((x, y))
         if p is None:
-            p = gamma_series(*x) @ gamma_series(*y)
-            prod_cache[(x, y)] = p
+            p = prod_cache[(x, y)] = {}
+            for ex, A in letters.get((x[0],) + x[2:], ()):
+                for ey, B in letters.get((y[0],) + y[2:], ()):
+                    cell = p.setdefault(
+                        (ex, ey) if x[1] == 0 else (ey, ex), {})
+                    for row, hits in A.items():
+                        for k, ra, va in hits:
+                            for col, rb, vb in B.get(k, ()):
+                                v, res = va * vb, ra + rb
+                                if res >= D:
+                                    v, res = v << bits, res - D
+                                key = (row, col, res)
+                                cell[key] = cell.get(key, 0) + v
         return p
 
-    # coefficients in the q^(1/D) gauge; units are applied as signs
-    expansion = []
-    for idx, terms in relation_expansion(s).items():
-        scaled = []
-        for coeff, expo, x, y in terms:
-            unit = 1 if coeff.is_one() else -1 if (-coeff).is_one() else 0
-            scaled.append((unit, coeff.stretch(D), expo, x, y))
-        expansion.append((idx, scaled))
-
+    expansion = [
+        (idx, [(pack(c.num.shift(Kc - c.den.low))[0], e, x, y)
+               for c, e, x, y in terms])
+        for idx, terms in stretched
+    ]
     families = (("t", "t"), ("tb", "tb"), ("t", "tb"), ("tb", "t"))
     for kinds in families:
         for (i, j, k, l), terms in expansion:
             checked += 1
             acc = {}
-            for unit, coeff, (eu, ev), x, y in terms:
+            for c, (eu, ev), x, y in terms:
                 p = pair_product((kinds[x[0]],) + x, (kinds[y[0]],) + y)
-                for (pu, pv), m in p.terms.items():
-                    cell = acc.get((pu + eu, pv + ev))
-                    if cell is None:
-                        cell = acc[(pu + eu, pv + ev)] = Mat(space)
-                    for (r, c), val in m.terms.items():
-                        cell.add_to(
-                            r, c,
-                            val if unit > 0 else -val if unit else coeff * val,
-                        )
-            residual = SeriesMat(2, space, acc)
-            if not residual.is_zero():
-                item = residual.nonzero_report(("u", "v"))[0]
-                item.update(
-                    {"relation": "%s-%s" % kinds,
-                     "i": i, "j": j, "k": k, "l": l}
-                )
-                if record(item):
-                    return report(True)
+                for (pu, pv), cell in p.items():
+                    tgt = acc.setdefault((pu + eu, pv + ev), {})
+                    for key, v in cell.items():
+                        tgt[key] = tgt.get(key, 0) + c * v
+            bad = [(e, key) for e, cell in acc.items()
+                   for key, v in cell.items() if v]
+            if not bad:
+                continue
+            (pu, pv), (row, col, _) = min(bad)
+            num, mask = Laurent.zero(), (1 << bits) - 1
+            for res in range(D):
+                v, e = acc[(pu, pv)].get((row, col, res), 0), res
+                while v:  # signed base-2^B digits, lowest first
+                    d = v & mask
+                    d -= (d >> (bits - 1)) << bits
+                    num += Laurent.q_pow(e).scale(d)
+                    v, e = (v - d) >> bits, e + D
+            value = QScalar(num, (L * L).shift(2 * K + Kc))
+            mono = "*".join("%s^%d" % (z, n)
+                            for z, n in zip("uv", (pu, pv)) if n) or "1"
+            if record(
+                {"monomial": mono, "row": row, "col": col,
+                 "value": str(value), "relation": "%s-%s" % kinds,
+                 "i": i, "j": j, "k": k, "l": l}
+            ):
+                return report(True)
     return report(False)
 
 

@@ -524,15 +524,20 @@ def test_criterion_11_tensor_dichotomy():
     # mu_{1,1}^2 / mu_{2,2}^2 = q^4 (bottom corner)
     top_bad, bottom_bad = -6, 4
     saw_top = saw_bottom = 0
+    firsts = [evaluation_rep("01", w1, qp(k - 4), module=m1) for k in range(8)]
+    seconds = [
+        evaluation_rep("01", w2, qp(k - 4), module=m2) for k in range(8)
+    ]
+    for rep in firsts + seconds:
+        assert verify_affine_relations(rep)["pass"], rep.provenance
     for i in range(8):
         for j in range(8):
             a1, a2 = qp(i - 4), qp(j - 4)
             ratio = (i - 4) - (j - 4)
-            T = tensor(
-                evaluation_rep("01", w1, a1, module=m1),
-                evaluation_rep("01", w2, a2, module=m2),
-            )
+            T = tensor(firsts[i], seconds[j])
             assert T.dim == 4
+            # reducible or not, the product is a representation
+            assert verify_affine_relations(T)["pass"], (i, j)
             span_top = cyclic_span(T, T.maximal_index)
             span_bottom = cyclic_span(T, 3)
             condition_holds = ratio not in (top_bad, bottom_bad)
@@ -581,6 +586,7 @@ def test_criterion_12_string_certificates():
         w = HWeight("00", exps)
         a = qscalar_parse(atext)
         rep = evaluation_rep("00", w, a)
+        assert verify_affine_relations(rep)["pass"], (exps, atext)
         cert = check_T2(highest_weight_series(rep))
         assert isinstance(cert, PolyCertificate), (exps, atext)
         K = exps[0] - exps[1]
@@ -596,6 +602,7 @@ def test_criterion_12_string_certificates():
         w = HWeight("11", exps)
         a = qscalar_parse(atext)
         rep = evaluation_rep("11", w, a)
+        assert verify_affine_relations(rep)["pass"], (exps, atext)
         cert = check_T2(highest_weight_series(rep))
         assert isinstance(cert, PolyCertificate), (exps, atext)
         K = exps[0] - exps[1]
@@ -610,6 +617,7 @@ def test_criterion_12_string_certificates():
     rep = evaluation_rep(
         "001", parse_weight("001", "+q^2,+q^1,+q^1"), qscalar_parse("q^1")
     )
+    assert verify_affine_relations(rep)["pass"]
     cert = check_T3("001", highest_weight_series(rep))
     assert isinstance(cert, PolyCertificate)
     assert cert.pairs[(1, 2)].kind == "T2"

@@ -2,10 +2,12 @@
 products, highest-weight series extraction, and polynomial certificates."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qglrtt import affine
 from qglrtt.affine import (
     NO_MAXIMAL_VECTOR,
     AffineError,
@@ -26,8 +28,9 @@ from qglrtt.affine import (
     _pmul,
 )
 from qglrtt.linalg import vec_add
+from qglrtt.rtt import relation_expansion
 from qglrtt.scalars import QScalar, qscalar_parse
-from qglrtt.tensor import Mat, Space
+from qglrtt.tensor import Mat, SeriesMat, Space
 from qglrtt.weights import (
     DID_NOT_STABILIZE,
     WeightError,
@@ -129,6 +132,10 @@ class TestEvaluationRep:
             ("001", "+q^1,+q^0,+q^-2"),
             ("010", "+q^3/2,+q^-1/2,+q^1/2"),
             ("0011", "+q^1,+q^0,+q^0,+q^0"),
+            # dimension 32 over q^(1/64) and over q^(1/2): sparse and
+            # dense packing by exponent residue
+            ("0011", "+q^65/64,+q^1/64,+q^1/64,+q^1/64"),
+            ("0011", "+q^5/2,+q^1/2,+q^1/2,+q^1/2"),
         ],
     )
     def test_relations_hold_exactly(self, s, wtext):
@@ -136,6 +143,10 @@ class TestEvaluationRep:
         report = verify_affine_relations(rep)
         assert report["pass"], report["failures"]
         assert report["failure_count"] == 0
+        # triangularity, diagonal and 4 families of N^4 instances:
+        # 68, 333 and 1040 at N = 2, 3 and 4
+        N = rep.s.N
+        assert report["checked"] == N * (N - 1) + N + 4 * N ** 4
 
     def test_fractional_gauge(self):
         w = parse_weight("01", "+q^1/2,+q^1/2")
@@ -211,6 +222,34 @@ class TestRelationNegativeControls:
         assert not report["pass"]
         assert report["failures"][0]["relation"] == "mode-zero-triangularity"
 
+    def test_mode_zero_failures_stop_at_the_cap(self):
+        base = evaluation_rep(
+            "001", parse_weight("001", "+q^1,+q^1,+q^0"), qscalar_parse("q^2")
+        )
+        modes = copy_modes(base)
+        e00 = Mat(base.space, {(0, 0): ONE})
+        for i in range(1, 4):
+            for j in range(1, 4):
+                if i != j:
+                    kind = "t" if i < j else "tb"
+                    modes[kind].setdefault((i, j), {})[0] = e00
+        rep = AffineRep(base.s, base.space, modes, denominator=1)
+        assert verify_affine_relations(rep, max_failures=2) == {
+            "pass": False,
+            "checked": 2,
+            "failure_count": 2,
+            "failures": [
+                {"relation": "mode-zero-triangularity",
+                 "kind": "t", "i": 1, "j": 2},
+                {"relation": "mode-zero-triangularity",
+                 "kind": "t", "i": 1, "j": 3},
+            ],
+            "truncated": True,
+        }
+        report = verify_affine_relations(rep, max_failures=7)
+        assert report["checked"] == 11 and report["truncated"]
+        assert report["failures"][6]["relation"] == "t-t"
+
     def test_broken_diagonal_product_flagged(self):
         base = self._base()
         modes = copy_modes(base)
@@ -221,6 +260,153 @@ class TestRelationNegativeControls:
         assert any(
             f["relation"] == "mode-zero-diagonal" for f in report["failures"]
         )
+
+
+def reference_verify(rep, max_failures=10):
+    """verify_affine_relations evaluated on exact scalars.
+
+    Every pair of generator series is multiplied as SeriesMat of Q(q)
+    matrices and every relation coefficient is applied as a QScalar, so
+    this shares no arithmetic with the packed-integer check; the report
+    has the same shape, order and cap.
+    """
+    s, space, D = rep.s, rep.space, rep.denominator
+    N = s.N
+    failures = []
+    checked = 0
+
+    def report(truncated):
+        return {"pass": not failures, "checked": checked,
+                "failure_count": len(failures), "failures": failures,
+                "truncated": truncated}
+
+    off_diagonal = [
+        (i, j) for i in range(1, N + 1) for j in range(1, N + 1) if i != j
+    ]
+    for i, j in off_diagonal:
+        kind = "t" if i < j else "tb"
+        checked += 1
+        if not rep.mode(kind, i, j, 0).is_zero():
+            failures.append({"relation": "mode-zero-triangularity",
+                             "kind": kind, "i": i, "j": j})
+            if len(failures) >= max_failures:
+                return report(True)
+    ident = Mat.identity(space)
+    for i in range(1, N + 1):
+        checked += 1
+        t0, b0 = rep.mode("t", i, i, 0), rep.mode("tb", i, i, 0)
+        if not ((t0 @ b0) == ident and (b0 @ t0) == ident):
+            failures.append({"relation": "mode-zero-diagonal", "i": i})
+            if len(failures) >= max_failures:
+                return report(True)
+
+    def series(kind, var, i, j):
+        sm = SeriesMat(2, space)
+        for r, m in rep.mode_series(kind, i, j).items():
+            expo = [0, 0]
+            expo[var] = -r if kind == "t" else r
+            sm.add_term(tuple(expo), m)
+        return sm
+
+    for kinds in (("t", "t"), ("tb", "tb"), ("t", "tb"), ("tb", "t")):
+        for (i, j, k, l), terms in relation_expansion(s).items():
+            checked += 1
+            residual = SeriesMat(2, space)
+            for coeff, (eu, ev), x, y in terms:
+                prod = series(kinds[x[0]], *x) @ series(kinds[y[0]], *y)
+                for (pu, pv), m in prod.terms.items():
+                    residual.add_term(
+                        (pu + eu, pv + ev), m.scale(coeff.stretch(D))
+                    )
+            if not residual.is_zero():
+                item = residual.nonzero_report(("u", "v"))[0]
+                item.update({"relation": "%s-%s" % kinds,
+                             "i": i, "j": j, "k": k, "l": l})
+                failures.append(item)
+                if len(failures) >= max_failures:
+                    return report(True)
+    return report(False)
+
+
+def _readme_tensor():
+    return tensor(
+        evaluation_rep("01", parse_weight("01", "+q^1,+q^1"), ONE),
+        evaluation_rep(
+            "01", parse_weight("01", "+q^2,+q^1"), qscalar_parse("q^1")
+        ),
+    )
+
+
+ORACLE_MODULES = {
+    # entries with denominators that are not powers of q
+    "000": lambda: evaluation_rep(
+        "000", parse_weight("000", "+q^2,+q^1,+q^0"), qscalar_parse("q^1")
+    ),
+    # gauge q^(1/2)
+    "001-half": lambda: evaluation_rep(
+        "001", parse_weight("001", "+q^2,+q^0,+q^-3/2"), qscalar_parse("q^1")
+    ),
+    "readme-tensor": _readme_tensor,
+}
+
+# added to one entry; in the module's gauge
+PERTURBATIONS = [
+    "1", "-1", "q^2", "q^-3", "q - q^-1", "1/2", "1/(1 + q)",
+    "(2*q^2 - 3)/(q^2 + 1)",
+]
+
+
+class TestPackedCheckAgainstReference:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODULES))
+    def test_perturbed_entry_report_matches(self, name, seed):
+        base = ORACLE_MODULES[name]()
+        rng = random.Random(seed)
+        keys = [(k, i, j, r) for k, i, j, r, _ in base.all_mode_matrices()]
+        for _ in range(2):
+            kind, i, j, r = rng.choice(keys)
+            modes = copy_modes(base)
+            bad = modes[kind][(i, j)][r].copy()
+            row, col = rng.randrange(base.dim), rng.randrange(base.dim)
+            bad.set(row, col,
+                    bad[row, col] + qscalar_parse(rng.choice(PERTURBATIONS)))
+            modes[kind][(i, j)][r] = bad
+            rep = AffineRep(base.s, base.space, modes,
+                            denominator=base.denominator)
+            for cap in (3, 10):
+                got = verify_affine_relations(rep, max_failures=cap)
+                assert got == reference_verify(rep, max_failures=cap), (
+                    kind, i, j, r, row, col
+                )
+
+    def test_digit_width_below_the_bound_aliases(self, monkeypatch):
+        # adding (q - 2^3) to a mode entry makes every residual a multiple
+        # of q - 2^3, so packing at 2^3 reads zero: only the computed
+        # width tells the residual from 0
+        base = evaluation_rep(
+            "01", parse_weight("01", "+q^1,+q^1"), qscalar_parse("q^2")
+        )
+        modes = copy_modes(base)
+        bad = modes["t"][(1, 2)][1].copy()
+        bad.set(0, 1, bad[0, 1] + qscalar_parse("q - 8"))
+        modes["t"][(1, 2)][1] = bad
+        rep = AffineRep(base.s, base.space, modes, denominator=1)
+        report = verify_affine_relations(rep)
+        assert not report["pass"]
+        assert report == reference_verify(rep)
+        widths = []
+        real = affine._digit_bits
+
+        def spy(bound):
+            widths.append(real(bound))
+            return 3
+
+        monkeypatch.setattr(affine, "_digit_bits", spy)
+        assert verify_affine_relations(rep) == {
+            "pass": True, "checked": 68, "failure_count": 0,
+            "failures": [], "truncated": False,
+        }
+        assert widths[0] > 3
 
 
 # ---------------------------------------------------------------------------
