@@ -27,6 +27,12 @@ WEIGHT_HELP = (
 #: costliest size accepted, takes a few seconds.
 MAX_INDICES = 6
 
+#: Largest product of the factor dimensions that ``tensor`` accepts.  The
+#: work grows with the number of factors as well as with the dimension: on
+#: ``01``, five two-dimensional factors (32) take about 2 s, or 5 s with
+#: ``--verify``, and six (64) about 21 s.
+MAX_TENSOR_DIM = 32
+
 
 class UsageError(Exception):
     """Bad flag value or malformed input file (exit code 2)."""
@@ -410,6 +416,14 @@ def cmd_tensor(args):
             return 1
         modules.append(rep)
         factors.append({"weights": str(entry["weights"]), "a": atext, "dim": rep.dim})
+    dim = 1
+    for rep in modules:
+        dim *= rep.dim
+    if dim > MAX_TENSOR_DIM:
+        raise UsageError(
+            "the product of the factor dimensions is at most %d, got %d"
+            % (MAX_TENSOR_DIM, dim)
+        )
     big = modules[0]
     for nxt in modules[1:]:
         big = tensor(big, nxt)

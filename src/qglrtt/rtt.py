@@ -12,12 +12,16 @@ respect to the PBW basis of ordered monomials
 with exponents in Z_+ for even off-diagonal generators, {0,1} for odd ones,
 and Z on the diagonal.  Straightening multiplies a normal form by one
 letter at a time (:func:`_product`); the letter moves left past the larger
-letters, past a diagonal generator by a scalar rule.  The rule for a
+letters, past a diagonal generator by a power of q.  The rule for a
 non-diagonal pair g1 = (., a, b) before g2 = (., c, d) is not written out:
 it is relation instance (c, d, a, b) of the family of g2 g1 in the R-matrix
 expansion (:func:`relation_expansion`), solved for g1 g2.  Its first word
 is the swapped pair g2 g1, which is one step closer to normal form; the
-correction words carry the other letters.
+correction words carry the other letters.  Every rule coefficient is a
+Laurent polynomial, so a product is straightened over Z[q^{+-1}]: the
+coefficients of each factor are written as Laurent numerators over one
+common denominator, and each output coefficient is divided once, at the
+end.
 """
 
 from __future__ import annotations
@@ -27,7 +31,18 @@ from functools import lru_cache, partial
 from itertools import product
 
 from .parity import ParitySeq, bilinear_form
-from .scalars import QONE, QScalar, SparseSum, _Parser, _tokenize, add_term
+from .scalars import (
+    QONE,
+    QScalar,
+    SparseSum,
+    _LONE,
+    _Parser,
+    _qscalar,
+    _tokenize,
+    add_term,
+    poly_exact_div,
+    poly_gcd,
+)
 from .tensor import spectral_rmatrix
 
 
@@ -129,20 +144,79 @@ class StraighteningBudgetExceeded(RuntimeError):
 _MAX_WORK = 10**6
 
 
+def _laurent_rule(rule):
+    """A :func:`_pair_rule` with its coefficients as Laurent polynomials.
+
+    Every rule coefficient has a denominator q^k, so it is the Laurent
+    polynomial num * q^-k; any other coefficient raises ValueError, since
+    straightening over Z[q^{+-1}] could not carry it.
+    """
+    out = []
+    for c, letters in rule:
+        den = c.den
+        if den.coeffs != (1,):
+            raise ValueError("rule coefficient %s is not a Laurent polynomial" % c)
+        out.append((c.num.shift(-den.offset), letters))
+    return out
+
+
+def _numerators(terms):
+    """The coefficients of `terms` as Laurent numerators over one denominator.
+
+    Returns ``({key: numerator}, L)``.  A canonical denominator is q^k p
+    with p(0) != 0, and L is q^K P for the largest k and the lcm P of the
+    parts p other than 1, content included; a coefficient n / (q^k p)
+    becomes the numerator n q^(K-k) (P / p).  The lcm and each P / p are
+    computed once per distinct part p, and not at all when every
+    denominator is a power of q, as for every coefficient 1.
+    """
+    if len(terms) == 1:
+        ((key, c),) = terms.items()
+        return {key: c.num}, c.den
+    top = 0
+    parts = {}
+    for c in terms.values():
+        d = c.den
+        if d.offset > top:
+            top = d.offset
+        if d.coeffs != (1,):
+            parts[d.coeffs] = d.shift(-d.offset)
+    if not parts:
+        shifted = {k: c.num.shift(top - c.den.offset) for k, c in terms.items()}
+        return shifted, _LONE.shift(top)
+    lcm = None
+    for p in parts.values():
+        lcm = p if lcm is None else lcm * poly_exact_div(p, poly_gcd(lcm, p))
+    cofactors = {
+        key: _LONE if p is lcm else poly_exact_div(lcm, p) for key, p in parts.items()
+    }
+    return {
+        k: c.num * cofactors.get(c.den.coeffs, _LONE).shift(top - c.den.offset)
+        for k, c in terms.items()
+    }, lcm.shift(top)
+
+
 def _product(s, left, right, budget=None):
     """Normal form of sum(left) * sum(right), as {key: coeff}.
 
     `left` is in normal form and `right` maps words, tuples of (gen, exp)
-    letters in any order, to coefficients.  Each word of `right` is folded
-    into `left` one letter at a time by one product step, a normal word
-    times one letter.  The letter moves left past the larger letters of the
-    word: past a diagonal letter by the scalar rule, past a non-diagonal one
-    by :func:`_pair_rule`, whose swapped word carries the letter on and
-    whose correction words are folded in the same way.  It stops at a
-    smaller letter or merges with an equal one (an odd letter squares to
-    zero).  A non-diagonal power moves one copy at a time.  Equal terms
-    merge after every letter, so a word that many paths reach is carried
-    on once.  Normal forms are unique
+    letters in any order, to coefficients.  The coefficients of each side
+    are written as Laurent-polynomial numerators over one denominator
+    (:func:`_numerators`), and the numerators are straightened over
+    Z[q^{+-1}]: every rule coefficient is a Laurent polynomial and a
+    diagonal move is a shift by a power of q, so the normal form of c w is
+    c times that of w.  Each output numerator is divided by the product of
+    the two denominators once, at the end.
+
+    Each word of `right` is folded into `left` one letter at a time by one
+    product step, a normal word times one letter.  The letter moves left
+    past the larger letters of the word: past a diagonal letter by a power
+    of q, past a non-diagonal one by :func:`_pair_rule`, whose
+    swapped word carries the letter on and whose correction words are
+    folded in the same way.  It stops at a smaller letter or merges with an
+    equal one (an odd letter squares to zero).  A non-diagonal power moves
+    one copy at a time.  Equal terms merge after every letter, so a word
+    that many paths reach is carried on once.  Normal forms are unique
     (:func:`check_normal_form_uniqueness`), so the order of the rewriting
     changes the work and never the result.
 
@@ -153,6 +227,8 @@ def _product(s, left, right, budget=None):
     """
     work = 0
     limit = _MAX_WORK if budget is None else budget
+    # the rules met in this product, with Laurent coefficients
+    rules = {}
 
     def fold(terms, letters):
         nonlocal work
@@ -178,7 +254,7 @@ def _product(s, left, right, budget=None):
                     work += len(out)
                     into = done if whole else moving
                     for key, c2 in out.items():
-                        add_term(into, key, c * c2)
+                        add_term(into, key, c if c2 is _LONE else c * c2)
                 if work > limit:
                     raise StraighteningBudgetExceeded(
                         "straightening exceeded %d units of work" % limit
@@ -193,7 +269,7 @@ def _product(s, left, right, budget=None):
     def step(word, g, e, slot):
         """word * g^e for a letter that moves left or merges with word[-1]."""
         out = {}
-        coeff = QONE
+        coeff = _LONE
         p = len(word)
         passed = []
         while p:
@@ -209,45 +285,61 @@ def _product(s, left, right, budget=None):
                 tail = ((g, e),)
                 break
             p -= 1
-            if h[1] == h[2]:  # a diagonal letter passes by a scalar
+            if h[1] == h[2]:  # a diagonal letter passes by a power of q
                 a = h[1]
                 delta = (a == g[1]) - (a == g[2])
                 if delta:
-                    coeff = coeff * s.q_i(a) ** (f * e * delta)
+                    coeff = coeff.shift(s.d(a) * f * e * delta)
             elif g[1] == g[2]:
                 a = g[1]
                 delta = (a == h[1]) - (a == h[2])
                 if delta:
-                    coeff = coeff * s.q_i(a) ** (-f * e * delta)
+                    coeff = coeff.shift(-s.d(a) * f * e * delta)
             else:  # h^f g, one copy of h at a time
-                (c0, _), *corrections = _pair_rule(s.bits, h, g)
+                rule = rules.get((h, g))
+                if rule is None:
+                    rule = rules[h, g] = _laurent_rule(_pair_rule(s.bits, h, g))
+                (c0, _), *corrections = rule
                 after = passed[::-1]
                 for k in range(f, 0, -1):
                     base = word[:p] + (((h, k - 1),) if k > 1 else ())
                     later = [(h, f - k)] + after if k < f else after
                     for c, letters in corrections:
                         fixed = fold(
-                            {base: coeff * c}, [(x, 1) for x in letters] + later
+                            {base: c if coeff is _LONE else coeff * c},
+                            [(x, 1) for x in letters] + later,
                         )
                         for key, c2 in fixed.items():
                             add_term(out, key, c2)
-                    coeff = coeff * c0
+                    coeff = c0 if coeff is _LONE else coeff * c0
             passed.append((h, f))
         else:
             tail = ((g, e),)
         add_term(out, word[:p] + tail + tuple(passed[::-1]), coeff)
         return out
 
+    left, lden = _numerators(left)
+    right, rden = _numerators(right)
     out = {}
     for word, c in right.items():
-        if not c.is_zero():
-            part = fold({k: c1 * c for k, c1 in left.items()}, word)
-            if not out:
-                out = part
-            else:
-                for key, c2 in part.items():
-                    add_term(out, key, c2)
-    return out
+        if not c.coeffs:
+            continue
+        part = fold(
+            {k: c1 if c is _LONE else c1 * c for k, c1 in left.items()}, word
+        )
+        if not out:
+            out = part
+        else:
+            for key, c2 in part.items():
+                add_term(out, key, c2)
+    den = lden if rden is _LONE else rden if lden is _LONE else lden * rden
+    if den is _LONE:
+        # a polynomial over 1 is canonical; a negative power of q is not
+        return {
+            key: _qscalar(c, _LONE) if c.offset >= 0 else QScalar(c)
+            for key, c in out.items()
+        }
+    return {key: QScalar(c, den) for key, c in out.items()}
 
 
 def _normalize(s, words, budget=None):
@@ -265,7 +357,7 @@ class AlgebraElement(SparseSum):
     __slots__ = ("s",)
 
     def __init__(self, s, terms=None):
-        self.s = ParitySeq(s)
+        self.s = s if type(s) is ParitySeq else ParitySeq(s)
         SparseSum.__init__(self, terms)
 
     def _context(self):
@@ -286,9 +378,19 @@ class AlgebraElement(SparseSum):
 
     @staticmethod
     def generator(s, kind, i, j, exp=1):
+        """The normal form of one letter, written down without straightening.
+
+        ``t[a,a]^e`` is ``tb[a,a]^-e``, a zeroth power is 1 and a higher
+        power of an odd letter is 0.
+        """
         s = ParitySeq(s)
         _check_letter(s, kind, i, j, exp)
-        return AlgebraElement.from_word(s, [((kind, i, j), exp)])
+        if kind == "t" and i == j:
+            kind, exp = "tb", -exp
+        gen = (kind, i, j)
+        if exp > 1 and gen_is_odd(s, gen):
+            return AlgebraElement(s)
+        return AlgebraElement(s, {((gen, exp),) if exp else (): QONE})
 
     @staticmethod
     def from_word(s, letters, coeff=None):
@@ -549,22 +651,27 @@ def _constant_part(terms, kinds):
     products whose coefficients cancel are left out.
     """
     merged = {}
-    for c, expo, x, y in terms:
+    for c, expo, (v1, a1, b1), (v2, a2, b2) in terms:
         if expo != (1, 0):
             continue
-        key = tuple((kinds[var], a, b) for var, a, b in (x, y))
-        if all(a >= b if kind == "t" else a <= b for kind, a, b in key):
-            add_term(merged, key, -c)
+        k1, k2 = kinds[v1], kinds[v2]
+        if (a1 >= b1 if k1 == "t" else a1 <= b1) and (
+            a2 >= b2 if k2 == "t" else a2 <= b2
+        ):
+            add_term(merged, ((k1, a1, b1), (k2, a2, b2)), -c)
     return merged
 
 
-def _finite_residual(s, terms, which, image):
-    """Minus the u^1 v^0 part of one expanded instance, on generator images."""
-    total = None
+def _finite_residual(s, terms, which, pair_product):
+    """Minus the u^1 v^0 part of one expanded instance, on generator images.
+
+    `pair_product(g1, g2)` is the product of the images of g1 and g2.
+    """
+    total = {}
     for (g1, g2), c in _constant_part(terms, _FAMILY_KINDS[which]).items():
-        term = (image(*g1) * image(*g2)).scale(c)
-        total = term if total is None else total + term
-    return AlgebraElement.zero(s) if total is None else total
+        for key, v in pair_product(g1, g2).terms.items():
+            add_term(total, key, c * v)
+    return AlgebraElement(s, total)
 
 
 def relation_residual(s, which, i, j, k, l, tgen=None, tbgen=None):
@@ -594,21 +701,34 @@ def relation_residual(s, which, i, j, k, l, tgen=None, tbgen=None):
         f = images[kind]
         return AlgebraElement.generator(s, kind, a, b) if f is None else f(a, b)
 
-    return _finite_residual(s, terms, which, image)
+    return _finite_residual(
+        s, terms, which, lambda g1, g2: image(*g1) * image(*g2)
+    )
 
 
 def check_relation_families(s, image, failures, max_failures):
     """Evaluate every tt, tbtb and ttb instance on generator images.
 
-    `image(kind, a, b)` is the image of a generator.  Located failures are
-    appended to `failures` while it holds fewer than `max_failures`; returns
-    the number of instances checked, 3 N^4.
+    `image(kind, a, b)` is the image of a generator.  The product of the
+    images of each generator pair is straightened once per family, not once
+    per instance that holds the pair; the families share no pair, since
+    each has its own generator kinds.  Located failures are appended to
+    `failures` while it holds fewer than `max_failures`; returns the number
+    of instances checked, 3 N^4.
     """
     s = ParitySeq(s)
     expansion = relation_expansion(s)
+
+    def pair_product(g1, g2):
+        p = products.get((g1, g2))
+        if p is None:
+            p = products[g1, g2] = image(*g1) * image(*g2)
+        return p
+
     for which in _FAMILY_KINDS:
+        products = {}
         for idx, terms in expansion.items():
-            res = _finite_residual(s, terms, which, image)
+            res = _finite_residual(s, terms, which, pair_product)
             if not res.is_zero() and len(failures) < max_failures:
                 failures.append(
                     {"relation": which, "indices": list(idx), "residual": str(res)}

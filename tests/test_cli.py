@@ -556,6 +556,32 @@ class TestTensor:
         )
         assert code == 2
 
+    def test_factor_dimensions_are_capped(self, capsys, tmp_path, monkeypatch):
+        # six two-dimensional factors on 01 (64) are refused after the
+        # factors are built and before any tensor product is formed
+        from qglrtt import affine, cli
+
+        def no_tensor(*args):
+            raise AssertionError("tensor product formed past the cap")
+
+        monkeypatch.setattr(affine, "tensor", no_tensor)
+        six = [{"weights": "+q^2,+q^1", "a": "q^%d" % k} for k in range(6)]
+        path = write_factors(tmp_path, {"sequence": "01", "factors": six})
+        code, out, err = run(capsys, "tensor", "--factors", path)
+        assert code == 2
+        assert out == ""
+        assert "the product of the factor dimensions is at most 32, got 64" in err
+        # the cap itself is accepted: the README factors multiply to 4
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_TENSOR_DIM", 4)
+        path = write_factors(tmp_path, TestGoldenOutput.README_FACTORS)
+        code, data, _ = run_json(capsys, "tensor", "--factors", path)
+        assert (code, data["dim"]) == (0, 4)
+        three = {"sequence": "01", "factors": six[:3]}
+        path = write_factors(tmp_path, three)
+        code, out, _ = run(capsys, "tensor", "--factors", path)
+        assert (code, out) == (2, "")
+
     def test_infinite_factor_fails(self, capsys, tmp_path):
         path = write_factors(
             tmp_path,

@@ -2,10 +2,11 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from qglrtt import reflections
+from qglrtt import reflections, rtt
 from qglrtt.parity import ParitySeq
 from qglrtt.reflections import (
     GeneratorMap,
@@ -15,7 +16,11 @@ from qglrtt.reflections import (
     sequence_braid_report,
     verify_odd_reflection,
 )
-from qglrtt.rtt import AlgebraElement, check_relation_families
+from qglrtt.rtt import (
+    AlgebraElement,
+    check_relation_families,
+    pbw_generator_order,
+)
 
 
 ALL_SEQS_2 = ["01", "10", "00", "11"]
@@ -66,6 +71,56 @@ def test_reflection_is_homomorphism_on_products():
     for x in samples:
         for y in samples:
             assert f.apply(x * y) == f.apply(x) * f.apply(y)
+
+
+def _reflected_words_that_disagree(seed=32, words=40):
+    """Oracle B: an odd reflection f is a homomorphism written out by hand.
+
+    For a word w over s, f applied to the normal form of w must equal the
+    product over s' of the images of the letters of w.  The images come
+    from formulas, not from the straightening rules, so a wrong rule shows
+    as a disagreement.  Covers every odd position of every sequence of
+    length 2-4 with `words` seeded words of 2-4 letters each; returns the
+    number of words checked and the number that disagree.
+    """
+    rng = random.Random(seed)
+    checked = bad = 0
+    for bits, i in odd_pairs((2, 3, 4)):
+        s = ParitySeq(bits)
+        f = odd_reflection(s, i)
+        letters = [(g, 1) for g in pbw_generator_order(s)]
+        letters += [(("tb", a, a), -1) for a in range(1, s.N + 1)]
+        images = {
+            x: f.apply(AlgebraElement.generator(s, *x[0], x[1])) for x in letters
+        }
+        for _ in range(words):
+            word = [rng.choice(letters) for _ in range(rng.randint(2, 4))]
+            product = images[word[0]]
+            for x in word[1:]:
+                product = product * images[x]
+            checked += 1
+            bad += f.apply(AlgebraElement.from_word(s, word)) != product
+    return checked, bad
+
+
+def test_reflections_map_normal_forms_to_products_of_images():
+    assert _reflected_words_that_disagree() == (34 * 40, 0)
+
+
+def test_reflected_words_see_a_negated_correction(monkeypatch):
+    # negative control: the first correction of every rule negated
+    orig = rtt._pair_rule
+
+    def negated(bits, g1, g2):
+        swapped, *rest = orig(bits, g1, g2)
+        if rest:
+            (c, letters), *rest = rest
+            rest = [(-c, letters)] + rest
+        return (swapped, *rest)
+
+    monkeypatch.setattr(rtt, "_pair_rule", negated)
+    checked, bad = _reflected_words_that_disagree()
+    assert bad > 0
 
 
 def test_reflection_roundtrip_on_elements():

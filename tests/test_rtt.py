@@ -134,6 +134,87 @@ def test_long_power_words_fit_the_default_budget(bits, text, count):
     assert len(parse_element(bits, text).terms) == count
 
 
+RATIONAL = "(1+q)^8/(1-q)^8"
+
+
+def test_rational_coefficient_scales_the_normal_form():
+    # the normal form of c w is c times that of w
+    s = ParitySeq("00")
+    word = "tb[1,2]^8 t[2,1]^8"
+    x = parse_element(s, "(%s) %s" % (RATIONAL, word))
+    assert x == parse_element(s, word).scale(qscalar_parse(RATIONAL))
+    assert len(x.terms) == 45
+
+
+def test_rational_coefficient_is_divided_once_per_term(monkeypatch):
+    # the numerators are straightened over Z[q, q^-1] and each output term
+    # is divided by the coefficient's denominator once; multiplying the
+    # rational coefficient through every rewriting step took 550 gcds here
+    from qglrtt import scalars
+
+    calls = []
+    gcd = scalars.poly_gcd
+
+    def counting(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    monkeypatch.setattr(scalars, "poly_gcd", counting)
+    monkeypatch.setattr(rtt, "poly_gcd", counting)
+    x = parse_element("00", "(%s) tb[1,2]^8 t[2,1]^8" % RATIONAL)
+    assert len(calls) <= len(x.terms) + 4
+    # denominators that differ share one lcm, taken once per product
+    calls.clear()
+    y = parse_element(
+        "00",
+        "(%s) tb[1,2]^8 t[2,1]^8 + (q/(1+q)^2) tb[1,2]^7 t[2,1]^7"
+        " + (1/2) tb[1,2]^3" % RATIONAL,
+    )
+    assert len(calls) <= len(y.terms) + 8
+
+
+def test_rule_coefficients_are_laurent_polynomials():
+    # straightening runs over Z[q, q^-1] because every rule coefficient has
+    # a denominator q^k, on every out-of-order pair of every sequence of
+    # length 2-6
+    count = 0
+    for n in range(2, 7):
+        for bits in product("01", repeat=n):
+            s = ParitySeq("".join(bits))
+            gens = [g for g in pbw_generator_order(s) if g[1] != g[2]]
+            for g1, g2 in product(gens, repeat=2):
+                if rtt._slot(g1) <= rtt._slot(g2):
+                    continue
+                for c, _ in rtt._pair_rule(s.bits, g1, g2):
+                    assert c.den.coeffs == (1,), (s, g1, g2, c)
+                    count += 1
+    assert count == 52484
+
+
+def test_rule_coefficient_outside_laurent_polynomials_raises(monkeypatch):
+    orig = rtt._pair_rule
+
+    def halved(bits, g1, g2):
+        (c0, swapped), *rest = orig(bits, g1, g2)
+        return ((c0 / 2, swapped), *rest)
+
+    monkeypatch.setattr(rtt, "_pair_rule", halved)
+    with pytest.raises(ValueError, match="not a Laurent polynomial"):
+        parse_element("00", "tb[1,2] t[2,1]")
+
+
+def test_generator_is_the_normal_form_of_its_letter():
+    # generator writes the normal word down; from_word straightens it
+    for bits in ("01", "001"):
+        s = ParitySeq(bits)
+        pool = pbw_generator_order(s) + [("t", a, a) for a in range(1, s.N + 1)]
+        for g in pool:
+            exps = (-2, -1, 0, 1, 2) if g[1] == g[2] else (0, 1, 2)
+            for e in exps:
+                assert gen(s, *g, e) == AlgebraElement.from_word(s, [(g, e)])
+    assert gen("01", "t", 1, 1, 2).terms == {((("tb", 1, 1), -2),): QONE}
+
+
 def _random_factor(rng, s):
     # one to three letters; diagonal inverses, and repeated letters, which
     # square odd generators to zero
