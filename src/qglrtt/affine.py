@@ -24,7 +24,7 @@ from math import lcm
 from .linalg import RowSpace, kernel_basis, vec_add
 from .parity import ParitySeq
 from .rtt import relation_expansion, varsigma
-from .scalars import Laurent, QScalar, add_term, poly_exact_div, poly_gcd
+from .scalars import Laurent, QScalar, add_term, over_one_denominator
 from .tensor import Mat, graded_kron
 from .weights import (
     DID_NOT_STABILIZE,
@@ -467,28 +467,6 @@ def _digit_bits(bound):
     return bound.bit_length() + 1
 
 
-def _cleared_modes(rep):
-    """Every mode entry times x^K L, an integer polynomial in x = q^(1/D).
-
-    Each entry denominator is x^k d with d(0) != 0; L is the lcm of the d,
-    integer content included, and x^K the largest x^k.  Returns ``(modes,
-    K, L)`` with ``modes[kind, i, j] = [(r, {(row, col): Laurent}), ...]``.
-    """
-    mats = list(rep.all_mode_matrices())
-    dens = {v.den for *_, m in mats for v in m.terms.values()}
-    K = max((d.low for d in dens), default=0)
-    L = Laurent.one()
-    for d in {d.shift(-d.low) for d in dens} - {L}:
-        L = poly_exact_div(L * d, poly_gcd(L, d))
-    cof = {d: poly_exact_div(L, d.shift(-d.low)).shift(K - d.low)
-           for d in dens}
-    modes = {}
-    for kind, i, j, r, m in mats:
-        modes.setdefault((kind, i, j), []).append(
-            (r, {rc: v.num * cof[v.den] for rc, v in m.terms.items()}))
-    return modes, K, L
-
-
 def verify_affine_relations(rep, max_failures=10):
     """Exact check of the defining relations on a mode-matrix family.
 
@@ -510,15 +488,17 @@ def verify_affine_relations(rep, max_failures=10):
     times -(-1)^{(|k|+|l|)|i|} (:func:`qglrtt.rtt.relation_expansion`).
 
     The quadratic identities are evaluated on integers (Kronecker
-    substitution).  Entries times x^K L (:func:`_cleared_modes`) and
-    relation coefficients times x^Kc are integer polynomials in x, so a
-    residual is the true one times x^(2K+Kc) L^2.  Each is split by
-    x-exponent residue mod D and each class packed as its value at
-    q = 2^B; residues that sum past D carry one q, a shift by B bits.
-    With C the largest sum of coefficient 1-norms in one instance, n the
-    dimension and a the largest 1-norm of an entry, no residual coefficient
-    exceeds C n a^2 < 2^(B-1) (:func:`_digit_bits`), so the check is a
-    proof and a failure's value is decoded from its signed digits.
+    substitution).  Over one denominator L for the mode entries and one
+    denominator Lc for the relation coefficients
+    (:func:`qglrtt.scalars.over_one_denominator`), both have integer
+    polynomial numerators in x, so a residual is the true one times
+    L^2 Lc.  Each is split by x-exponent residue mod D and each class
+    packed as its value at q = 2^B; residues that sum past D carry one q,
+    a shift by B bits.  With C the largest sum of coefficient 1-norms in
+    one instance, n the dimension and a the largest 1-norm of an entry, no
+    residual coefficient exceeds C n a^2 < 2^(B-1) (:func:`_digit_bits`),
+    so the check is a proof and a failure's value is decoded from its
+    signed digits.
 
     Returns ``{"pass", "checked", "failure_count", "failures",
     "truncated"}``.  The checks stop at the ``max_failures``-th failure;
@@ -564,13 +544,21 @@ def verify_affine_relations(rep, max_failures=10):
         ):
             return report(True)
 
-    modes, K, L = _cleared_modes(rep)
-    # the relation coefficients are Laurent in q, so x^Kc clears them
+    mats = list(rep.all_mode_matrices())
+    L, entry = over_one_denominator(
+        [v for *_, m in mats for v in m.terms.values()])
+    modes = {}
+    for kind, i, j, r, m in mats:
+        modes.setdefault((kind, i, j), []).append(
+            (r, {rc: entry(v) for rc, v in m.terms.items()}))
     stretched = [(idx, [(c.stretch(D), e, x, y) for c, e, x, y in terms])
                  for idx, terms in relation_expansion(s).items()]
-    Kc = max(c.den.low for _, terms in stretched for c, *_ in terms)
-    C = max(sum(sum(map(abs, c.num.coeffs)) for c, *_ in terms)
-            for _, terms in stretched)
+    Lc, coeff = over_one_denominator(
+        [c for _, terms in stretched for c, *_ in terms])
+    cleared = [(idx, [(coeff(c), e, x, y) for c, e, x, y in terms])
+               for idx, terms in stretched]
+    C = max(sum(sum(map(abs, c.coeffs)) for c, *_ in terms)
+            for _, terms in cleared)
     a = max((sum(map(abs, p.coeffs)) for ser in modes.values()
              for _, m in ser for p in m.values()), default=0)
     bits = _digit_bits(C * space.dim * a * a)
@@ -616,11 +604,9 @@ def verify_affine_relations(rep, max_failures=10):
                                 cell[key] = cell.get(key, 0) + v
         return p
 
-    expansion = [
-        (idx, [(pack(c.num.shift(Kc - c.den.low))[0], e, x, y)
-               for c, e, x, y in terms])
-        for idx, terms in stretched
-    ]
+    # the relation coefficients are Laurent in q = x^D: residue 0 only
+    expansion = [(idx, [(pack(c)[0], e, x, y) for c, e, x, y in terms])
+                 for idx, terms in cleared]
     families = (("t", "t"), ("tb", "tb"), ("t", "tb"), ("tb", "t"))
     for kinds in families:
         for (i, j, k, l), terms in expansion:
@@ -645,7 +631,7 @@ def verify_affine_relations(rep, max_failures=10):
                     d -= (d >> (bits - 1)) << bits
                     num += Laurent.q_pow(e).scale(d)
                     v, e = (v - d) >> bits, e + D
-            value = QScalar(num, (L * L).shift(2 * K + Kc))
+            value = QScalar(num, L * L * Lc)
             mono = "*".join("%s^%d" % (z, n)
                             for z, n in zip("uv", (pu, pv)) if n) or "1"
             if record(

@@ -33,6 +33,12 @@ MAX_INDICES = 6
 #: ``--verify``, and six (64) about 21 s.
 MAX_TENSOR_DIM = 32
 
+#: Largest number of ``--scan-a`` points times the product dimension that
+#: ``tensor`` accepts.  The scan forms the whole tensor product again at
+#: each point: five two-dimensional factors on ``01`` (32) take about 4 s
+#: at one point and 16 s at eight (256).
+MAX_SCAN_DIM = 256
+
 
 class UsageError(Exception):
     """Bad flag value or malformed input file (exit code 2)."""
@@ -423,6 +429,11 @@ def cmd_tensor(args):
         raise UsageError(
             "the product of the factor dimensions is at most %d, got %d"
             % (MAX_TENSOR_DIM, dim)
+        )
+    if scan_points is not None and len(scan_points) * dim > MAX_SCAN_DIM:
+        raise UsageError(
+            "the scan points times the product dimension are at most %d, "
+            "got %d x %d" % (MAX_SCAN_DIM, len(scan_points), dim)
         )
     big = modules[0]
     for nxt in modules[1:]:

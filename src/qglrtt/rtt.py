@@ -20,8 +20,8 @@ is the swapped pair g2 g1, which is one step closer to normal form; the
 correction words carry the other letters.  Every rule coefficient is a
 Laurent polynomial, so a product is straightened over Z[q^{+-1}]: the
 coefficients of each factor are written as Laurent numerators over one
-common denominator, and each output coefficient is divided once, at the
-end.
+common denominator (:func:`qglrtt.scalars.over_one_denominator`), and each
+output coefficient is divided once, at the end.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .scalars import (
     _qscalar,
     _tokenize,
     add_term,
-    poly_exact_div,
-    poly_gcd,
+    over_one_denominator,
 )
 from .tensor import spectral_rmatrix
 
@@ -160,53 +159,18 @@ def _laurent_rule(rule):
     return out
 
 
-def _numerators(terms):
-    """The coefficients of `terms` as Laurent numerators over one denominator.
-
-    Returns ``({key: numerator}, L)``.  A canonical denominator is q^k p
-    with p(0) != 0, and L is q^K P for the largest k and the lcm P of the
-    parts p other than 1, content included; a coefficient n / (q^k p)
-    becomes the numerator n q^(K-k) (P / p).  The lcm and each P / p are
-    computed once per distinct part p, and not at all when every
-    denominator is a power of q, as for every coefficient 1.
-    """
-    if len(terms) == 1:
-        ((key, c),) = terms.items()
-        return {key: c.num}, c.den
-    top = 0
-    parts = {}
-    for c in terms.values():
-        d = c.den
-        if d.offset > top:
-            top = d.offset
-        if d.coeffs != (1,):
-            parts[d.coeffs] = d.shift(-d.offset)
-    if not parts:
-        shifted = {k: c.num.shift(top - c.den.offset) for k, c in terms.items()}
-        return shifted, _LONE.shift(top)
-    lcm = None
-    for p in parts.values():
-        lcm = p if lcm is None else lcm * poly_exact_div(p, poly_gcd(lcm, p))
-    cofactors = {
-        key: _LONE if p is lcm else poly_exact_div(lcm, p) for key, p in parts.items()
-    }
-    return {
-        k: c.num * cofactors.get(c.den.coeffs, _LONE).shift(top - c.den.offset)
-        for k, c in terms.items()
-    }, lcm.shift(top)
-
-
 def _product(s, left, right, budget=None):
     """Normal form of sum(left) * sum(right), as {key: coeff}.
 
     `left` is in normal form and `right` maps words, tuples of (gen, exp)
-    letters in any order, to coefficients.  The coefficients of each side
-    are written as Laurent-polynomial numerators over one denominator
-    (:func:`_numerators`), and the numerators are straightened over
-    Z[q^{+-1}]: every rule coefficient is a Laurent polynomial and a
-    diagonal move is a shift by a power of q, so the normal form of c w is
-    c times that of w.  Each output numerator is divided by the product of
-    the two denominators once, at the end.
+    letters in any order, to coefficients.  The coefficients of each side,
+    whatever their denominators, are written as Laurent-polynomial
+    numerators over one denominator
+    (:func:`qglrtt.scalars.over_one_denominator`), and the numerators are
+    straightened over Z[q^{+-1}]: every rule coefficient is a Laurent
+    polynomial and a diagonal move is a shift by a power of q, so the
+    normal form of c w is c times that of w.  Each output numerator is
+    divided by the product of the two denominators once, at the end.
 
     Each word of `right` is folded into `left` one letter at a time by one
     product step, a normal word times one letter.  The letter moves left
@@ -318,10 +282,12 @@ def _product(s, left, right, budget=None):
         add_term(out, word[:p] + tail + tuple(passed[::-1]), coeff)
         return out
 
-    left, lden = _numerators(left)
-    right, rden = _numerators(right)
+    lden, lnum = over_one_denominator(left.values())
+    rden, rnum = over_one_denominator(right.values())
+    left = {k: lnum(c) for k, c in left.items()}
     out = {}
     for word, c in right.items():
+        c = rnum(c)
         if not c.coeffs:
             continue
         part = fold(

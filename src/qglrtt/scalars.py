@@ -35,6 +35,7 @@ Q(q) is unique:
 from __future__ import annotations
 
 from math import gcd as _int_gcd
+from operator import attrgetter
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +579,50 @@ def _qscalar(num, den):
 QZERO = _qscalar(_LZERO, _LONE)
 QONE = _qscalar(_LONE, _LONE)
 Q = QScalar.q_power(1)
+
+_numerator = attrgetter("num")
+
+
+def over_one_denominator(values):
+    """One denominator for QScalar ``values``, and their numerators over it.
+
+    Returns ``(L, numerator)``: ``numerator(c)`` is a Laurent polynomial
+    with ``numerator(c) / L == c`` for each value of the collection
+    ``values``.  A canonical denominator is q^k p with p(0) != 0, and L is
+    q^K P for the largest k and the lcm P of the parts p other than 1,
+    integer content included; a value n / (q^k p) has the numerator
+    n q^(K-k) (P / p), so a value whose denominator is a power of q has the
+    cofactor P.  The lcm and each P / p are computed once per distinct
+    part: not at all when every denominator is a power of q, which costs
+    only a shift, and with no gcd when there is one part.  A lone value is
+    its own numerator over its denominator.
+    """
+    if len(values) == 1:
+        (c,) = values
+        return c.den, _numerator
+    K = 0
+    parts = {}
+    for c in values:
+        d = c.den
+        if d.offset > K:
+            K = d.offset
+        if d.coeffs != (1,) and d.coeffs not in parts:
+            parts[d.coeffs] = d.shift(-d.offset)
+    if not parts:
+        return _LONE.shift(K), lambda c: c.num.shift(K - c.den.offset)
+    P = None
+    for p in parts.values():
+        P = p if P is None else P * poly_exact_div(p, poly_gcd(P, p))
+    cofactors = {
+        key: _LONE if p is P else poly_exact_div(P, p) for key, p in parts.items()
+    }
+    cofactors[(1,)] = P
+
+    def numerator(c):
+        d = c.den
+        return (c.num * cofactors[d.coeffs]).shift(K - d.offset)
+
+    return P.shift(K), numerator
 
 
 def add_term(terms, key, value):

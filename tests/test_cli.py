@@ -144,6 +144,16 @@ class TestNormalize:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    def test_mixed_denominators(self, capsys):
+        # a coefficient over a power of q keeps its value beside one over
+        # another polynomial
+        code, data, _ = run_json(
+            capsys, "normalize", "--s", "00", "--element",
+            "t[2,1] + (1/(1-q)) tb[1,2]",
+        )
+        assert code == 0
+        assert data["normal_form"] == "(1) t[2,1] + (1/(-q + 1)) tb[1,2]"
+
     def test_parse_error_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys, "normalize", "--s", "01", "--element", "t[3,1]"
@@ -580,6 +590,36 @@ class TestTensor:
         three = {"sequence": "01", "factors": six[:3]}
         path = write_factors(tmp_path, three)
         code, out, _ = run(capsys, "tensor", "--factors", path)
+        assert (code, out) == (2, "")
+
+    def test_scan_points_times_dimension_are_capped(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # five two-dimensional factors on 01 (32) at nine scan points (288)
+        # are refused before any tensor product is formed
+        from qglrtt import affine, cli
+
+        def no_tensor(*args):
+            raise AssertionError("tensor product formed past the cap")
+
+        monkeypatch.setattr(affine, "tensor", no_tensor)
+        five = [{"weights": "+q^2,+q^1", "a": "q^%d" % k} for k in range(5)]
+        path = write_factors(tmp_path, {"sequence": "01", "factors": five})
+        for scan in ("0..8", "-500..499"):
+            code, out, err = run(
+                capsys, "tensor", "--factors", path, "--scan-a=" + scan
+            )
+            assert (code, out) == (2, "")
+        assert "at most 256, got 1000 x 32" in err
+        # the cap itself is accepted: the README factors multiply to 4
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_SCAN_DIM", 8)
+        path = write_factors(tmp_path, TestGoldenOutput.README_FACTORS)
+        code, data, _ = run_json(
+            capsys, "tensor", "--factors", path, "--scan-a=0..1"
+        )
+        assert (code, len(data["scan"])) == (0, 2)
+        code, out, _ = run(capsys, "tensor", "--factors", path, "--scan-a=0..2")
         assert (code, out) == (2, "")
 
     def test_infinite_factor_fails(self, capsys, tmp_path):

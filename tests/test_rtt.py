@@ -160,15 +160,15 @@ def test_rational_coefficient_is_divided_once_per_term(monkeypatch):
         return gcd(a, b)
 
     monkeypatch.setattr(scalars, "poly_gcd", counting)
-    monkeypatch.setattr(rtt, "poly_gcd", counting)
     x = parse_element("00", "(%s) tb[1,2]^8 t[2,1]^8" % RATIONAL)
     assert len(calls) <= len(x.terms) + 4
-    # denominators that differ share one lcm, taken once per product
+    # denominators that differ, a coefficient 1 among them, share one lcm,
+    # taken once per product
     calls.clear()
     y = parse_element(
         "00",
         "(%s) tb[1,2]^8 t[2,1]^8 + (q/(1+q)^2) tb[1,2]^7 t[2,1]^7"
-        " + (1/2) tb[1,2]^3" % RATIONAL,
+        " + (1/2) tb[1,2]^3 + tb[1,2]^5 t[2,1]^5" % RATIONAL,
     )
     assert len(calls) <= len(y.terms) + 8
 
@@ -469,6 +469,13 @@ def test_normal_form_uniqueness_sees_an_unresolved_overlap(monkeypatch):
     ]
 
 
+# integers and fractions, some over a denominator that is not a power of
+# q, so that sums and products mix denominators
+COEFFICIENTS = [QScalar.from_int(c) for c in (1, -1, 2, 3)] + [
+    qscalar_parse(t) for t in ("1/(1-q)", "(1+q)/(2*q)", "q^-2")
+]
+
+
 def _random_element(rng, s, nletters):
     letters = []
     N = s.N
@@ -487,7 +494,7 @@ def _random_element(rng, s, nletters):
         else:
             exp = rng.choice([1, 2])
         letters.append(((kind, i, j), exp))
-    coeff = QScalar.from_int(rng.choice([1, -1, 2, 3]))
+    coeff = rng.choice(COEFFICIENTS)
     return AlgebraElement.from_word(s, letters, coeff)
 
 

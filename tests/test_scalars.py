@@ -13,6 +13,7 @@ from qglrtt.scalars import (
     QScalar,
     ScalarParseError,
     add_term,
+    over_one_denominator,
     poly_exact_div,
     poly_gcd,
     qscalar_parse,
@@ -131,6 +132,29 @@ def test_monomial_gcd_keeps_the_integer_gcd():
 
 
 # ---------------------------------------------------------------------------
+# hypothesis strategies for Laurent polynomials and scalars
+
+small_ints = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def laurents(draw, allow_zero=True):
+    coeffs = draw(st.lists(small_ints, min_size=1, max_size=4))
+    offset = draw(st.integers(min_value=-3, max_value=3))
+    p = Laurent(coeffs, offset)
+    if not allow_zero and p.is_zero():
+        p = p + Laurent.one()
+    return p
+
+
+@st.composite
+def qscalars(draw, allow_zero=True):
+    num = draw(laurents(allow_zero=allow_zero))
+    den = draw(laurents(allow_zero=False))
+    return QScalar(num, den)
+
+
+# ---------------------------------------------------------------------------
 # differential tests against sympy, an independent implementation of Z[q]
 
 coeff_ints = st.integers(min_value=-50, max_value=50)
@@ -222,28 +246,57 @@ def test_qscalar_matches_sympy_cancel(num, den, common):
     assert (x.den.coeffs, x.den.offset) == (d_coeffs, d_low)
 
 
+@given(st.lists(qscalars(allow_zero=False), min_size=1, max_size=6))
+@example([QScalar(1), QScalar(1, Laurent((1, -1)))])  # 1 and 1/(1-q)
+@example([QScalar(1, Laurent((1,), 2)), QScalar(1, Laurent((2, 2)))])
+@settings(max_examples=150, deadline=None)
+def test_over_one_denominator_matches_sympy_lcm(values):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    L, numerator = over_one_denominator(values)
+    for c in values:
+        assert QScalar(numerator(c), L) == c
+    # L is +-q^K times the lcm of the parts of the denominators that are
+    # not powers of q, integer content included
+    K = max(c.den.low for c in values)
+    lcm = sympy.Poly(1, q)
+    for c in values:
+        if c.den.coeffs != (1,):
+            lcm = lcm.lcm(sympy.Poly(_sympy_expr(q, c.den, -c.den.low), q))
+    expected = _coeffs_of(lcm)
+    assert (L.offset, L.coeffs) in {
+        (expected[1] + K, expected[0]),
+        (expected[1] + K, tuple(-x for x in expected[0])),
+    }
+
+
+def test_over_one_denominator_takes_no_gcd_over_powers_of_q(monkeypatch):
+    from qglrtt import scalars
+
+    calls = []
+    gcd = scalars.poly_gcd
+
+    def counting(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    values = [QScalar(Laurent((3, -1)), Laurent((1,), k)) for k in range(4)]
+    values.append(QScalar(Laurent((1, 1))))
+    lone = QScalar(1, Laurent((1, 1)))
+    monkeypatch.setattr(scalars, "poly_gcd", counting)
+    L, numerator = over_one_denominator(values)
+    assert L == Laurent((1,), 3)
+    assert [numerator(c) for c in values][-1] == Laurent((1, 1), 3)
+    # one part other than 1 is the lcm itself
+    L, numerator = over_one_denominator(values + [lone])
+    assert L == Laurent((1, 1), 3)
+    assert numerator(values[0]) == Laurent((3, 2, -1), 3)
+    assert numerator(lone) == Laurent((1,), 3)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # hypothesis: field axioms against the canonical form
-
-small_ints = st.integers(min_value=-4, max_value=4)
-
-
-@st.composite
-def laurents(draw, allow_zero=True):
-    coeffs = draw(st.lists(small_ints, min_size=1, max_size=4))
-    offset = draw(st.integers(min_value=-3, max_value=3))
-    p = Laurent(coeffs, offset)
-    if not allow_zero and p.is_zero():
-        p = p + Laurent.one()
-    return p
-
-
-@st.composite
-def qscalars(draw, allow_zero=True):
-    num = draw(laurents(allow_zero=allow_zero))
-    den = draw(laurents(allow_zero=False))
-    return QScalar(num, den)
-
 
 @given(qscalars(), qscalars(), qscalars())
 @settings(max_examples=120, deadline=None)
