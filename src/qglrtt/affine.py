@@ -21,14 +21,13 @@ coefficients, dilations) are stretched into that gauge on entry.
 from fractions import Fraction
 from math import lcm
 
-from .linalg import RowSpace, kernel_basis, vec_add
+from .linalg import RowSpace, kernel_basis, vec_add, vec_scale
 from .parity import ParitySeq
 from .rtt import relation_expansion, varsigma
 from .scalars import Laurent, QScalar, add_term, over_one_denominator
 from .tensor import Mat, graded_kron
 from .weights import (
     DID_NOT_STABILIZE,
-    HWeight,
     WeightError,
     build_irreducible,
     classify,
@@ -65,7 +64,7 @@ NO_MAXIMAL_VECTOR = "no joint maximal vector"
 
 
 # ---------------------------------------------------------------------------
-# Scalar and dense-polynomial helpers
+# Scalar and u-polynomial helpers
 # ---------------------------------------------------------------------------
 
 
@@ -79,70 +78,38 @@ def _coerce_scalar(x):
     raise AffineError("expected a scalar, got %r" % (x,))
 
 
-def _ptrim(p):
-    """Drop zero leading (top-degree) coefficients of a dense list."""
-    out = list(p)
-    while out and out[-1].is_zero():
-        out.pop()
+def _umul(a, b):
+    """Product of two u-polynomials ``{degree: QScalar}``."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            add_term(out, i + j, x * y)
     return out
 
 
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [QScalar.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return _ptrim(out)
+def _udivmod(a, b):
+    """Quotient and remainder of u-polynomial division over Q(q)."""
+    n = max(b)
+    lead = b[n].inverse()
+    quo, rem = {}, dict(a)
+    while rem and max(rem) >= n:
+        k = max(rem)
+        c = quo[k - n] = rem[k] * lead
+        rem = vec_add(rem, {d + k - n: x for d, x in b.items()}, -c)
+    return quo, rem
 
 
-def _peq(a, b):
-    a = _ptrim(a)
-    b = _ptrim(b)
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
-
-
-def _pdivmod(a, b):
-    """Quotient and remainder of dense polynomial division (field coeffs)."""
-    a = _ptrim(a)
-    b = _ptrim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo = [QScalar.zero()] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    lead = b[-1].inverse()
-    while len(rem) >= len(b):
-        c = rem[-1] * lead
-        k = len(rem) - len(b)
-        quo[k] = c
-        for i, x in enumerate(b):
-            rem[k + i] = rem[k + i] - c * x
-        rem = _ptrim(rem)
-    return _ptrim(quo), rem
-
-
-def _pexactdiv(a, b):
-    quo, rem = _pdivmod(a, b)
-    if rem:
-        raise AffineError("internal error: inexact polynomial division")
-    return quo
-
-
-def _pgcd(a, b):
+def _ugcd(a, b):
     """Monic greatest common divisor via the Euclidean algorithm."""
-    a = _ptrim(a)
-    b = _ptrim(b)
     while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if a:
-        inv = a[-1].inverse()
-        a = [x * inv for x in a]
-    return a
+        a, b = b, _udivmod(a, b)[1]
+    return vec_scale(a, a[max(a)].inverse())
+
+
+def _coefficients(p):
+    """Dense coefficients of a u-polynomial, in increasing degree."""
+    zero = QScalar.zero()
+    return [p.get(k, zero) for k in range(max(p) + 1)]
 
 
 def _sign_qpower_of(x):
@@ -158,10 +125,6 @@ def _sign_qpower_of(x):
     if (x + p).is_zero():
         return -1, e
     return None
-
-
-def _pstr(p, denom):
-    return [c.to_string(exp_denom=denom) for c in p]
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +572,9 @@ def verify_affine_relations(rep, max_failures=10):
                  for idx, terms in cleared]
     families = (("t", "t"), ("tb", "tb"), ("t", "tb"), ("tb", "t"))
     for kinds in families:
+        # the pair keys carry the generator kinds, so no family reuses
+        # another's products: each starts with an empty memo
+        prod_cache.clear()
         for (i, j, k, l), terms in expansion:
             checked += 1
             acc = {}
@@ -820,8 +786,10 @@ class PolyCertificate:
     """Structured positive verdict of a finite-dimensionality test.
 
     ``kind`` is ``"T1"`` (one even and one odd index), ``"T2"`` (two
-    indices of equal parity), or ``"T3"`` (full family for N >= 2);
-    coefficient lists are dense in increasing powers of ``u``.
+    indices of equal parity), or ``"T3"`` (full family for N >= 2).
+    ``Q``, ``Qt`` and ``P`` are dense coefficient lists in increasing
+    powers of ``u``; they are computed, like the reduced ratio ``num`` /
+    ``den``, as sparse u-polynomials ``{degree: QScalar}``.
     """
 
     __slots__ = (
@@ -850,21 +818,24 @@ class PolyCertificate:
             raise AffineError("unknown certificate fields: %s" % (kw,))
 
     def to_json(self):
+        def coeffs(p):
+            return [c.to_string(exp_denom=self.denominator) for c in p]
+
         out = {"kind": self.kind, "denominator": self.denominator}
         if self.pair is not None:
             out["pair"] = list(self.pair)
         if self.K is not None:
             out["K"] = self.K
         if self.Q is not None:
-            out["Q"] = _pstr(self.Q, self.denominator)
+            out["Q"] = coeffs(self.Q)
         if self.Qt is not None:
-            out["Qt"] = _pstr(self.Qt, self.denominator)
+            out["Qt"] = coeffs(self.Qt)
         if self.product is not None:
             out["product"] = self.product.to_string(
                 exp_denom=self.denominator
             )
         if self.P is not None:
-            out["P"] = _pstr(self.P, self.denominator)
+            out["P"] = coeffs(self.P)
         if self.sigma is not None:
             out["sigma"] = self.sigma
         if self.epsilon is not None:
@@ -898,24 +869,6 @@ class Refusal:
         return "Refusal<%s>" % (self.reason,)
 
 
-def _dense(d):
-    if not d:
-        return []
-    top = max(d)
-    out = [QScalar.zero()] * (top + 1)
-    for r, c in d.items():
-        out[r] = c
-    return _ptrim(out)
-
-
-def _cleared(d, M):
-    """Dense coefficients of ``u^M * sum_r d[r] u^(-r)``."""
-    out = [QScalar.zero()] * (M + 1)
-    for r, c in d.items():
-        out[M - r] = c
-    return _ptrim(out)
-
-
 def _ratio_data(hw, b, c):
     """Cross-checked reduced ratio of ``lam_bar_b / lam_bar_c``.
 
@@ -928,21 +881,21 @@ def _ratio_data(hw, b, c):
     lam_b = hw.lam[b - 1]
     lam_c = hw.lam[c - 1]
     M = max(max(lam_b), max(lam_c))
-    p1 = _cleared(lam_b, M)
-    p2 = _cleared(lam_c, M)
-    pb1 = _dense(hw.lam_bar[b - 1])
-    pb2 = _dense(hw.lam_bar[c - 1])
-    if not _peq(_pmul(p1, pb2), _pmul(p2, pb1)):
+    p1 = {M - r: x for r, x in lam_b.items()}
+    p2 = {M - r: x for r, x in lam_c.items()}
+    pb1 = hw.lam_bar[b - 1]
+    pb2 = hw.lam_bar[c - 1]
+    if _umul(p1, pb2) != _umul(p2, pb1):
         return Refusal(
             "the u^(-1)-family and u-family ratios disagree",
             {"pair": [b, c]},
         )
-    g = _pgcd(pb1, pb2)
-    A, B = _pexactdiv(pb1, g), _pexactdiv(pb2, g)
-    if len(A) != len(B):
+    g = _ugcd(pb1, pb2)
+    A, B = _udivmod(pb1, g)[0], _udivmod(pb2, g)[0]
+    if max(A) != max(B):
         return Refusal(
             "reduced ratio has unequal degrees",
-            {"pair": [b, c], "deg_num": len(A) - 1, "deg_den": len(B) - 1},
+            {"pair": [b, c], "deg_num": max(A), "deg_den": max(B)},
         )
     return A, B
 
@@ -959,8 +912,8 @@ def _odd_pair_certificate(hw, b, c):
     if isinstance(rd, Refusal):
         return rd
     A, B = rd
-    K = len(A) - 1
-    if A[0].is_zero() or B[0].is_zero():
+    K = max(A)
+    if 0 not in A or 0 not in B:
         return Refusal(
             "reduced ratio has a vanishing constant term",
             {"pair": [b, c]},
@@ -979,15 +932,14 @@ def _odd_pair_certificate(hw, b, c):
             },
         )
     cinv = B[0].inverse()
-    Q = [cinv * x for x in A]
-    Qt = [cinv * x for x in B]
+    Q = vec_scale(A, cinv)
     return PolyCertificate(
         "T1",
         hw.denominator,
         pair=(b, c),
         K=K,
-        Q=Q,
-        Qt=Qt,
+        Q=_coefficients(Q),
+        Qt=_coefficients(vec_scale(B, cinv)),
         product=Q[0] * Q[K],
         num=A,
         den=B,
@@ -1030,7 +982,7 @@ def _even_pair_certificate(hw, i, j):
         )
     K = steps // D
     sgn = QScalar.one() if sigma == 1 else -QScalar.one()
-    lead = A[-1] / B[-1]
+    lead = A[max(A)] / B[max(B)]
     if lead != sgn * qi(-K):
         return Refusal(
             "leading-term ratio inconsistent with the string data",
@@ -1038,12 +990,11 @@ def _even_pair_certificate(hw, i, j):
         )
     zero = QScalar.zero()
     rows = []
-    for n in range(len(A) + K):
+    for n in range(max(A) + 1 + K):
         row = {}
         for jj in range(K + 1):
-            cA = A[n - jj] if 0 <= n - jj < len(A) else zero
-            cB = B[n - jj] if 0 <= n - jj < len(B) else zero
-            coef = cA - sgn * qi(K - 2 * jj) * cB
+            coef = A.get(n - jj, zero) - sgn * qi(K - 2 * jj) * B.get(
+                n - jj, zero)
             if not coef.is_zero():
                 row[jj] = coef
         if row:
@@ -1060,23 +1011,20 @@ def _even_pair_certificate(hw, i, j):
             {"pair": [i, j], "K": K, "solutions": len(kern)},
         )
     v = kern[0]
-    p0 = v.get(0)
-    if p0 is None or p0.is_zero():
+    if 0 not in v:
         return Refusal(
             "string polynomial has a vanishing constant term",
             {"pair": [i, j], "K": K},
         )
-    p0i = p0.inverse()
-    P = [v.get(k, zero) * p0i for k in range(K + 1)]
-    if K > 0 and P[K].is_zero():
+    P = vec_scale(v, v[0].inverse())
+    if K > 0 and K not in P:
         return Refusal(
             "string polynomial degree mismatch",
             {"pair": [i, j], "K": K},
         )
-    shiftP = [qi(-2 * k) * P[k] for k in range(K + 1)]
-    lhs = _pmul(A, P)
-    rhs = [sgn * qi(K) * x for x in _pmul(B, shiftP)]
-    if not _peq(lhs, rhs):  # pragma: no cover - kernel construction
+    shiftP = {k: qi(-2 * k) * c for k, c in P.items()}
+    rhs = vec_scale(_umul(B, shiftP), sgn * qi(K))
+    if _umul(A, P) != rhs:  # pragma: no cover - kernel construction
         return Refusal(
             "string polynomial verification failed",
             {"pair": [i, j], "K": K},
@@ -1086,7 +1034,7 @@ def _even_pair_certificate(hw, i, j):
         D,
         pair=(i, j),
         K=K,
-        P=P,
+        P=_coefficients(P),
         sigma=sigma,
         epsilon=(1, sigma),
         num=A,
@@ -1174,25 +1122,24 @@ def check_T3(s, hw):
         for h in range(i + 1, N + 1):
             for j in range(h + 1, N + 1):
                 if s.parity(i) == s.parity(h) == s.parity(j):
-                    if not _peq(
-                        certs[(i, j)].P,
-                        _pmul(certs[(i, h)].P, certs[(h, j)].P),
-                    ):
+                    P_ih, P_hj = (dict(enumerate(certs[key].P))
+                                  for key in ((i, h), (h, j)))
+                    if certs[(i, j)].P != _coefficients(_umul(P_ih, P_hj)):
                         return Refusal(
                             "string polynomials do not factor along "
                             "the chain",
                             {"triple": [i, h, j]},
                         )
                     factor_chains.append([i, h, j])
-                lhs = _pmul(
+                lhs = _umul(
                     certs[(i, j)].num,
-                    _pmul(certs[(i, h)].den, certs[(h, j)].den),
+                    _umul(certs[(i, h)].den, certs[(h, j)].den),
                 )
-                rhs = _pmul(
+                rhs = _umul(
                     certs[(i, j)].den,
-                    _pmul(certs[(i, h)].num, certs[(h, j)].num),
+                    _umul(certs[(i, h)].num, certs[(h, j)].num),
                 )
-                if not _peq(lhs, rhs):
+                if lhs != rhs:
                     return Refusal(
                         "reduced ratios do not multiply along the chain",
                         {"triple": [i, h, j]},

@@ -17,6 +17,7 @@ reports the row as realizable.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from qglrtt.affine import (
@@ -501,6 +502,56 @@ def test_criterion_10_evaluation_representations():
             covered.add(bits)
     assert covered == set(EVAL_WEIGHTS)
     assert len(covered) == 12  # every sequence of length 2 and 3
+
+
+def _even_weyl_orbit_witness(rep):
+    """A same-parity pair whose swap changes the weight multiset, or None.
+
+    The transpositions of positions of equal parity generate S_m x S_n.
+    """
+    s, base = rep.s, Counter(rep.weights)
+    for i in range(1, s.N + 1):
+        for j in range(i + 1, s.N + 1):
+            if s.parity(i) != s.parity(j):
+                continue
+            swapped = Counter(
+                wt[:i - 1] + (wt[j - 1],) + wt[i:j - 1] + (wt[i - 1],) + wt[j:]
+                for wt in rep.weights
+            )
+            if swapped != base:
+                return i, j
+    return None
+
+
+def test_weight_multisets_invariant_under_even_weyl_group():
+    """The weights of every finite module built, counted with multiplicity,
+    are invariant under S_m x S_n, which permutes the even positions among
+    themselves and the odd ones among themselves: on the criterion-9 grid,
+    the criterion-10 weights, and one seeded finite weight on every
+    sequence of length 2 to 4."""
+    cases = [("01", HWeight("01", (e1, e2)))
+             for e1 in range(-2, 3) for e2 in range(-2, 3)]
+    cases += [("001", HWeight("001", (a, b, c)))
+              for a in range(3) for b in range(3) for c in (-1, 0, 1)]
+    cases += [(bits, parse_weight(bits, text))
+              for bits, texts in EVAL_WEIGHTS.items() for text in texts]
+    rng = random.Random(8)
+    for N in (2, 3, 4):
+        for s in all_sequences(N):
+            draws = (HWeight(s, [rng.randint(-1, 2) for _ in range(N)])
+                     for _ in range(100))
+            cases.append((s, next(w for w in draws
+                                  if classify(s, w)["finite"])))
+    built = 0
+    for s, w in cases:
+        if not classify(s, w)["finite"]:
+            continue
+        rep = build_irreducible(s, w, 24)
+        assert rep != DID_NOT_STABILIZE, (str(s), w.to_string())
+        witness = _even_weyl_orbit_witness(rep)
+        assert witness is None, (str(s), w.to_string(), witness)
+        built += 1
+    assert built == 95
 
 
 # ---------------------------------------------------------------------------
