@@ -903,21 +903,17 @@ def _ratio_data(hw, b, c):
 def _odd_pair_certificate(hw, b, c):
     """Certificate for a pair of opposite parities.
 
-    The reduced ratio must be a quotient of degree-K polynomials with
-    nonzero constant terms whose constant-times-leading products agree
-    (the scaling-invariant form of the ``Q_0 Q_K = 1`` normalization);
-    the returned pair is scaled so ``Qt_0 = 1``.
+    The reduced ratio must be a quotient of degree-K polynomials whose
+    constant-times-leading products agree (the scaling-invariant form of
+    the ``Q_0 Q_K = 1`` normalization); the returned pair is scaled so
+    ``Qt_0 = 1``.  Both constant terms are nonzero: ``lam_bar_i^(0) != 0``,
+    and the gcd divided out divides both ``lam_bar`` polynomials.
     """
     rd = _ratio_data(hw, b, c)
     if isinstance(rd, Refusal):
         return rd
     A, B = rd
     K = max(A)
-    if 0 not in A or 0 not in B:
-        return Refusal(
-            "reduced ratio has a vanishing constant term",
-            {"pair": [b, c]},
-        )
     if not (A[0] * A[K] == B[0] * B[K]):
         return Refusal(
             "constant-times-leading products differ",

@@ -391,18 +391,6 @@ def _word_product_terms(bits, left, right):
     return tuple(sorted(terms.items()))
 
 
-def _split_normal_key(key):
-    low, diag, rais = [], [], []
-    for g, e in key:
-        if g[1] == g[2]:
-            diag.append((g, e))
-        elif g[0] == "t":
-            low.append((g, e))
-        else:
-            rais.append((g, e))
-    return tuple(low), tuple(diag), tuple(rais)
-
-
 def _diag_eigenvalue(weight, D, g, e):
     """Eigenvalue of a diagonal letter power on the maximal vector."""
     kind, a, _ = g
@@ -548,7 +536,7 @@ def build_irreducible(s, weight, level_cap):
     below it, a vector lies in the maximal submodule exactly when every
     simple raising letter ``tb[i,i+1]`` maps it into the maximal submodule
     one depth up, so the radical there is the kernel of those images,
-    reduced into the quotients already built.
+    written on the bases of the quotients already built.
 
     The simple letters are enough: for ``i+2 <= j`` the normal form of
     ``tb[i+1,j] tb[i,i+1]`` is ``e tb[i,i+1] tb[i+1,j] + c tb[i+1,i+1]
@@ -557,8 +545,9 @@ def build_irreducible(s, weight, level_cap):
     generated by the simple letters and the diagonal ones, which act on a
     weight space by a scalar.  The radical is therefore the kernel of all
     "coefficient of the maximal vector after a raising monomial"
-    functionals, and it is kept in fully reduced echelon form, so the
-    basis and the matrices do not depend on how it was found.
+    functionals.  Its fully reduced echelon form, each pivot at its
+    vector's smallest monomial, is unique, so the basis (the monomials that
+    are no pivot) and the matrices do not depend on how it was found.
 
     A simple letter lowers the depth by exactly one, so a depth whose
     quotient is zero is followed only by such depths, and the build stops
@@ -569,7 +558,7 @@ def build_irreducible(s, weight, level_cap):
     as soon as a nonzero depth shows it.  The work of a certified build
     follows the module, not the cap.
     """
-    from .linalg import RowSpace, kernel_basis
+    from .linalg import kernel_basis
     from .rtt import AlgebraElement, gen_parity, pbw_generator_order
     from .tensor import Mat, Space
 
@@ -579,6 +568,7 @@ def build_irreducible(s, weight, level_cap):
     D = weight.denominator()
     N = s.N
     bits = str(s)
+    one = QScalar.one()
     lowering = [
         g for g in pbw_generator_order(s) if g[0] == "t" and g[1] > g[2]
     ]
@@ -591,38 +581,54 @@ def build_irreducible(s, weight, level_cap):
         """Verma action of a normal-form letter on a lowering monomial."""
         img = {}
         for tkey, tc in _word_product_terms(bits, gkey, key):
-            low, diag, rais = _split_normal_key(tkey)
-            if rais:
-                continue
+            # normal order: lowering letters, diagonal ones, raising ones
+            if tkey and tkey[-1][0][1] < tkey[-1][0][2]:
+                continue  # a raising letter kills the maximal vector
+            n = sum(g[1] > g[2] for g, _ in tkey)
             val = tc.stretch(D)
-            for gg, ee in diag:
-                val = val * eigenvalue(gg, ee)
-            add_term(img, low, val)
+            for g, e in tkey[n:]:
+                val = val * eigenvalue(g, e)
+            add_term(img, tkey[:n], val)
         return img
 
-    # weight -> (depth, monomials, their index, radical, quotient columns)
+    # nonzero quotients only: weight -> (depth, basis, coordinates of
+    # every monomial on the basis); a weight without a record is radical
     records = {}
 
     def add_quotient(nu, depth, keys, rows):
-        sub = RowSpace()
+        """Record the quotient at weight nu from its raising rows.
+
+        With ``keys`` in decreasing order, ``kernel_basis`` returns the
+        radical in fully reduced echelon form: each vector is 1 at its
+        smallest monomial, its pivot, and otherwise lies on the quotient
+        basis, the monomials that are no pivot.  So a pivot is minus the
+        rest of its vector in the quotient.
+        """
+        coords = {}
         for vec in kernel_basis(rows, len(keys)):
-            sub.add(vec)
-        reps = [c for c in range(len(keys)) if c not in sub.rows]
-        index = {k: c for c, k in enumerate(keys)}
-        records[nu] = (depth, keys, index, sub, reps)
-        return reps
+            f = max(vec)
+            coords[keys[f]] = {keys[c]: -v for c, v in vec.items() if c != f}
+        basis = [k for k in reversed(keys) if k not in coords]
+        coords.update((k, {k: one}) for k in basis)
+        if basis:
+            records[nu] = (depth, basis, coords)
+        return basis
 
     def target(nu, gkey):
-        """Record of the weight gkey maps nu to, if its quotient is nonzero.
-
-        A weight deeper than the last depth built has no record: it lies
-        in the radical.
-        """
+        """Coordinates at the weight gkey maps nu to; None if it is radical."""
         shift = _offset(gkey, N)
         rec = records.get(tuple(x + y for x, y in zip(nu, shift)))
-        return rec if rec is not None and rec[4] else None
+        return None if rec is None else rec[2]
 
-    add_quotient((0,) * N, 0, [()], [{0: QScalar.one()}])
+    def image(coords, gkey, key):
+        """The image of key under gkey, on the basis of its coordinates."""
+        out = {}
+        for k, v in letter_image(gkey, key).items():
+            for b, x in coords[k].items():
+                add_term(out, b, v * x)
+        return out
+
+    add_quotient((0,) * N, 0, [()], [{0: one}])
     simple = [((("tb", i, i + 1), 1),) for i in range(1, N)]
     depth = top = 0
     while lowering and depth < level_cap:
@@ -631,18 +637,15 @@ def build_irreducible(s, weight, level_cap):
         for key in _lowering_monomials(s, lowering, depth):
             spaces.setdefault(_offset(key, N), []).append(key)
         for nu, keys in spaces.items():
-            keys.sort()
+            keys.sort(reverse=True)
             rows = {}
             for gkey in simple:
-                rec = target(nu, gkey)
-                if rec is None:
+                coords = target(nu, gkey)
+                if not coords:
                     continue
-                _, _, index2, sub2, _ = rec
                 for col, key in enumerate(keys):
-                    img = letter_image(gkey, key)
-                    vec = {index2[k]: v for k, v in img.items()}
-                    for rcol, val in sub2.reduce(vec).items():
-                        rows.setdefault((gkey, rcol), {})[col] = val
+                    for b, val in image(coords, gkey, key).items():
+                        rows.setdefault((gkey, b), {})[col] = val
             if add_quotient(nu, depth, keys, list(rows.values())):
                 top = depth
         if top < depth:
@@ -653,10 +656,7 @@ def build_irreducible(s, weight, level_cap):
         return DID_NOT_STABILIZE
 
     ordered = sorted(records.items(), key=lambda kv: (kv[1][0], kv[0]))
-    basis = []
-    for nu, (_, keys, _, _, reps) in ordered:
-        for col in reps:
-            basis.append((nu, keys[col]))
+    basis = [(nu, key) for nu, (_, keys, _) in ordered for key in keys]
     gindex = {key: g for g, (_, key) in enumerate(basis)}
 
     parities = [
@@ -672,19 +672,15 @@ def build_irreducible(s, weight, level_cap):
 
     matrices = {}
     for gen in gens_all:
-        # normal form of the generator itself (t[a,a] becomes tb[a,a]^-1)
-        gelem = AlgebraElement.generator(s, *gen)
-        (gkey, gcoeff), = gelem.terms.items()
+        # one word of coefficient 1 (t[a,a] becomes tb[a,a]^-1)
+        (gkey, _), = AlgebraElement.generator(s, *gen).terms.items()
         mat = Mat(space)
         for col, (nu, key) in enumerate(basis):
-            rec = target(nu, gkey)
-            if rec is None:
+            coords = target(nu, gkey)
+            if not coords:
                 continue
-            _, keys2, index2, sub2, _ = rec
-            img = letter_image(gkey, key)
-            vec = {index2[k]: gcoeff * v for k, v in img.items()}
-            for lcol, val in sub2.reduce(vec).items():
-                mat.add_to(gindex[keys2[lcol]], col, val)
+            for b, val in image(coords, gkey, key).items():
+                mat.add_to(gindex[b], col, val)
         matrices[gen] = mat
 
     weights = [

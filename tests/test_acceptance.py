@@ -62,46 +62,13 @@ from qglrtt.weights import (
     reflect_weight,
     typicality,
 )
-
-ONE = QScalar.one()
-
-
-def qp(e):
-    return QScalar.q_power(e)
+from series_helpers import ONE, conv, eval_form, qp, qstring
 
 
 def all_sequences(N):
     out = []
     for m in range(N + 1):
         out.extend(enumerate_sequences(m, N - m))
-    return out
-
-
-def eval_form(mu, a):
-    return (
-        {0: mu.inverse(), 1: -(mu * a.inverse())},
-        {0: mu, 1: -(mu.inverse() * a)},
-    )
-
-
-def conv(d1, d2):
-    out = {}
-    for r1, c1 in d1.items():
-        for r2, c2 in d2.items():
-            out[r1 + r2] = out.get(r1 + r2, QScalar.zero()) + c1 * c2
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def qstring(K, step, root0):
-    """Coefficients of prod_{r=0}^{K-1} (1 - step^r * root0 * u)."""
-    out = [ONE]
-    for r in range(K):
-        c = (step ** r) * root0
-        nxt = [QScalar.zero()] * (len(out) + 1)
-        for i, x in enumerate(out):
-            nxt[i] = nxt[i] + x
-            nxt[i + 1] = nxt[i + 1] - x * c
-        out = nxt
     return out
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qglrtt.cli import main
+from qglrtt.scalars import QScalar
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -306,6 +307,29 @@ class TestModule:
         assert data["module"]["matrices"]
         assert data["verification"]["pass"] is True
 
+    def test_failed_verification_exits_1(self, capsys, monkeypatch):
+        # a module whose raising matrix moves the maximal vector
+        from qglrtt import weights
+
+        build = weights.build_irreducible
+
+        def broken(s, weight, level_cap):
+            rep = build(s, weight, level_cap)
+            rep.matrices[("tb", 1, 2)].set(1, 0, QScalar.one())
+            return rep
+
+        monkeypatch.setattr(weights, "build_irreducible", broken)
+        code, data, err = run_json(
+            capsys, "module", "--s", "01", "--weights", "+q^1,+q^1",
+            "--verify",
+        )
+        assert code == 1
+        assert data["verification"]["pass"] is False
+        assert data["verification"]["failures"][0] == (
+            "raising tb[1,2] does not annihilate the maximal vector (rows [1])"
+        )
+        assert "VERIFICATION FAILED" in err
+
     def test_infinite_weight_fails(self, capsys):
         code, data, _ = run_json(
             capsys, "module", "--s", "00", "--weights", "+q^0,+q^2"
@@ -591,6 +615,53 @@ class TestTensor:
         path = write_factors(tmp_path, three)
         code, out, _ = run(capsys, "tensor", "--factors", path)
         assert (code, out) == (2, "")
+
+    def test_factor_count_is_capped(self, capsys, tmp_path, monkeypatch):
+        # one-dimensional factors keep the product at 1, so the number of
+        # factors has its own cap, checked before any factor is built
+        from qglrtt import cli
+
+        trivial = {"weights": "+q^0,+q^0"}
+        path = write_factors(
+            tmp_path, {"sequence": "01", "factors": [trivial] * 32}
+        )
+        code, data, _ = run_json(capsys, "tensor", "--factors", path)
+        assert (code, data["dim"]) == (0, 1)
+
+        def no_build(*args):
+            raise AssertionError("factor built past the cap")
+
+        monkeypatch.setattr(cli, "_build_eval", no_build)
+        for n in (33, 600):
+            path = write_factors(
+                tmp_path, {"sequence": "01", "factors": [trivial] * n}
+            )
+            code, out, err = run(capsys, "tensor", "--factors", path)
+            assert (code, out) == (2, "")
+            assert "tensor takes at most 32 factors, got %d" % n in err
+
+    def test_dimension_cap_stops_the_builds(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the product of six two-dimensional factors on 00 passes the cap,
+        # so the infinite-dimensional seventh factor is never built
+        from qglrtt import cli
+
+        built = []
+        build = cli._build_eval
+
+        def counted(s, wtext, atext):
+            built.append(wtext)
+            return build(s, wtext, atext)
+
+        monkeypatch.setattr(cli, "_build_eval", counted)
+        six = [{"weights": "+q^1,+q^0", "a": "q^%d" % k} for k in range(6)]
+        factors = six + [{"weights": "+q^0,+q^2"}]
+        path = write_factors(tmp_path, {"sequence": "00", "factors": factors})
+        code, out, err = run(capsys, "tensor", "--factors", path)
+        assert (code, out) == (2, "")
+        assert "the product of the factor dimensions is at most 32, got 64" in err
+        assert built == ["+q^1,+q^0"] * 6
 
     def test_scan_points_times_dimension_are_capped(
         self, capsys, tmp_path, monkeypatch

@@ -1,14 +1,19 @@
 """Tests for highest-weight classification and module construction."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qglrtt.parity import ParitySeq
+from qglrtt.scalars import QScalar
+from qglrtt.tensor import Mat
 from qglrtt.weights import (
     DID_NOT_STABILIZE,
     HWeight,
+    ModuleRep,
     WeightError,
     build_irreducible,
     classify,
@@ -390,6 +395,110 @@ def test_json_shape():
         "t[1,1]", "t[2,1]", "t[2,2]", "t[3,1]", "t[3,2]", "t[3,3]",
         "tb[1,1]", "tb[1,2]", "tb[1,3]", "tb[2,2]", "tb[2,3]", "tb[3,3]",
     }
+
+
+# Atypical modules whose radical is most of the Verma space: on the first,
+# 2,487 of the 2,511 monomials built lie in the radical.
+ATYPICAL_MODULES = [
+    ("00011", "+q^1,+q^0,+q^0,+q^0,+q^-1", 30),
+    ("0011", "+q^3/2,+q^1/2,+q^1/2,+q^-3/2", 30),
+    ("0101", "+q^1,+q^1,+q^-1,+q^-1", 30),
+    ("0110", "+q^1,+q^0,+q^0,+q^-1", 30),
+    ("000111", "+q^1,+q^0,+q^0,+q^0,+q^0,+q^0", 40),
+]
+
+
+def test_atypical_modules_are_pinned():
+    # sha256 of the modules' JSON, as built with a second elimination of
+    # each weight's radical; the builder must not change a byte of it
+    modules = [
+        build_irreducible(bits, parse_weight(bits, text), cap).to_json()
+        for bits, text, cap in ATYPICAL_MODULES
+    ]
+    text = json.dumps(modules, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "baab24ec1d34a72def96b50c2e3eab46338fa8a726757a858fa1689b606f898e"
+    )
+
+
+def _copy_module(rep):
+    """A module with its own matrices and weight list, to perturb."""
+    matrices = {g: Mat(rep.space, dict(m.terms)) for g, m in rep.matrices.items()}
+    return ModuleRep(rep.s, rep.weight, rep.denominator, rep.basis,
+                     rep.levels, list(rep.weights), rep.space, matrices)
+
+
+class TestVerifyModuleControls:
+    """Each perturbation of a correct module fails with its own report."""
+
+    @pytest.fixture(scope="class")
+    def rep(self):
+        rep = build_irreducible("001", HWeight("001", (1, 0, 0)), 12)
+        assert rep.basis_strings() == ["1", "t[2,1]", "t[3,1]"]
+        assert verify_module(rep) == {
+            "pass": True, "checked": 154, "failures": []
+        }
+        return rep
+
+    @staticmethod
+    def products(*pairs):
+        return ["product %s * %s does not match its normal form" % p
+                for p in pairs]
+
+    def test_matrix_entry(self, rep):
+        bad = _copy_module(rep)
+        bad.matrices[("t", 2, 1)].set(1, 0, QScalar.from_int(2))
+        assert verify_module(bad) == {
+            "pass": False,
+            "checked": 154,
+            "failures": self.products(
+                ("t[3,2]", "t[2,1]"), ("tb[1,2]", "t[2,1]"),
+                ("tb[1,3]", "t[2,1]"), ("tb[2,3]", "t[3,1]"),
+            ),
+        }
+
+    def test_max_failures_stops_at_the_first_product(self, rep):
+        bad = _copy_module(rep)
+        bad.matrices[("t", 2, 1)].set(1, 0, QScalar.from_int(2))
+        assert verify_module(bad, max_failures=1) == {
+            "pass": False,
+            "checked": 60,
+            "failures": self.products(("t[3,2]", "t[2,1]")),
+        }
+
+    def test_maximal_eigenvalue(self, rep):
+        # t[1,1] is tb[1,1]^-1, so its products fail too, up to the
+        # default of ten failures
+        bad = _copy_module(rep)
+        bad.matrices[("tb", 1, 1)].set(0, 0, QScalar.one())
+        out = verify_module(bad)
+        assert (out["pass"], out["checked"]) == (False, 20)
+        assert out["failures"] == [
+            "tb[1,1] eigenvalue on the maximal vector is 1, expected q"
+        ] + self.products(*(
+            ("t[1,1]", g) for g in ("t[1,1]", "t[2,1]", "t[2,2]", "t[3,1]",
+                                    "t[3,3]", "tb[1,1]", "tb[1,2]", "tb[1,3]",
+                                    "tb[2,2]")
+        ))
+
+    def test_raising_column_at_the_maximal_vector(self, rep):
+        bad = _copy_module(rep)
+        bad.matrices[("tb", 1, 2)].set(1, 0, QScalar.one())
+        out = verify_module(bad)
+        assert (out["pass"], out["checked"]) == (False, 154)
+        assert out["failures"][0] == (
+            "raising tb[1,2] does not annihilate the maximal vector (rows [1])"
+        )
+        assert len(out["failures"]) == 8
+
+    def test_duplicated_top_weight(self, rep):
+        bad = _copy_module(rep)
+        bad.weights[1] = bad.weights[0]
+        assert verify_module(bad) == {
+            "pass": False,
+            "checked": 154,
+            "failures": ["the maximal-vector weight line is not unique"],
+        }
 
 
 # ---------------------------------------------------------------------------
